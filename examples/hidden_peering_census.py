@@ -14,7 +14,7 @@ Run:  python examples/hidden_peering_census.py
 import time
 from collections import Counter
 
-from repro import AmazonPeeringStudy, WorldConfig, build_world
+from repro import AmazonPeeringStudy, StudyConfig, WorldConfig, build_world
 from repro.analysis import tables
 from repro.core.dnsgeo import vpi_evidence
 from repro.measure.dnslookup import ReverseDNS
@@ -24,7 +24,9 @@ from repro.world.profiles import PR_NB_NV, PR_NB_V
 def main() -> None:
     t0 = time.time()
     world = build_world(WorldConfig(scale=0.05, seed=23))
-    study = AmazonPeeringStudy(world, seed=23, expansion_stride=4, run_crossval=False)
+    study = AmazonPeeringStudy(
+        world, StudyConfig(seed=23, expansion_stride=4, run_crossval=False)
+    )
     result = study.run()
     print(f"study finished in {time.time() - t0:.1f}s\n")
 

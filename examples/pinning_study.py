@@ -16,7 +16,7 @@ Run:  python examples/pinning_study.py
 
 import time
 
-from repro import AmazonPeeringStudy, WorldConfig, build_world
+from repro import AmazonPeeringStudy, StudyConfig, WorldConfig, build_world
 from repro.core.crossval import cross_validate_pinning
 from repro.core.pinning import IterativePinner
 from repro.core.evaluation import evaluate_study
@@ -25,7 +25,9 @@ from repro.core.evaluation import evaluate_study
 def main() -> None:
     t0 = time.time()
     world = build_world(WorldConfig(scale=0.05, seed=17))
-    study = AmazonPeeringStudy(world, seed=17, expansion_stride=4, run_vpi=False)
+    study = AmazonPeeringStudy(
+        world, StudyConfig(seed=17, expansion_stride=4, run_vpi=False)
+    )
     result = study.run()
     print(f"study finished in {time.time() - t0:.1f}s\n")
 

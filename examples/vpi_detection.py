@@ -20,7 +20,7 @@ Run:  python examples/vpi_detection.py
 
 import time
 
-from repro import AmazonPeeringStudy, WorldConfig, build_world
+from repro import AmazonPeeringStudy, StudyConfig, WorldConfig, build_world
 from repro.core.evaluation import evaluate_study
 
 
@@ -28,7 +28,7 @@ def main() -> None:
     t0 = time.time()
     world = build_world(WorldConfig(scale=0.05, seed=11))
     study = AmazonPeeringStudy(
-        world, seed=11, expansion_stride=4, run_crossval=False
+        world, StudyConfig(seed=11, expansion_stride=4, run_crossval=False)
     )
     result = study.run()
     print(f"study finished in {time.time() - t0:.1f}s\n")

@@ -56,7 +56,7 @@ from repro.measure.checkpoint import CheckpointStore
 from repro.measure.executor import RetryPolicy
 from repro.measure.faults import FaultPlan
 from repro.measure.supervise import StudySupervisor
-from repro.measure.sink import EventSink, FanoutEvents, as_event_sink
+from repro.measure.sink import EventSink, FanoutEvents
 from repro.obs import (
     NULL_TRACER,
     SpanRecord,
@@ -68,7 +68,7 @@ from repro.obs import (
 from repro.world.build import WorldConfig, build_world
 from repro.world.model import World
 
-__version__ = "1.6.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AmazonPeeringStudy",
@@ -97,7 +97,6 @@ __all__ = [
     "TransportError",
     "World",
     "WorldConfig",
-    "as_event_sink",
     "build_world",
     "read_trace",
     "render_report",

@@ -37,27 +37,26 @@ def _render_resilience(result: StudyResult, add) -> None:
     add("resilience:")
     if fault_plan is not None:
         add(f"  fault plan: {fault_plan.describe()}")
-    for label, progress in metrics.campaigns.items():
+    for label, record in metrics.campaigns.items():
         add(
-            f"  {label}: completeness {progress.completeness * 100:.1f}% "
-            f"({progress.probes}/{progress.expected_probes} probes), "
-            f"{len(progress.failures)} failed attempt(s), "
-            f"{len(progress.quarantined)} quarantined shard(s), "
-            f"{progress.resumed_shards} resumed from checkpoint"
+            f"  {label}: completeness {record.completeness * 100:.1f}% "
+            f"({record.probes}/{record.expected_probes} probes), "
+            f"{record.failed_attempts} failed attempt(s), "
+            f"{record.quarantined_shards} quarantined shard(s), "
+            f"{record.resumed_shards} resumed from checkpoint"
         )
-        categories = progress.failure_categories()
-        if categories:
+        if record.failures:
             add(
                 "    failures by class: "
                 + ", ".join(
                     f"{category}={count}"
-                    for category, count in sorted(categories.items())
+                    for category, count in sorted(record.failures.items())
                 )
             )
-        for shard in progress.quarantined:
+        for index, (region, probes, error) in record.quarantined.items():
             add(
-                f"    quarantined shard {shard.index} ({shard.region}, "
-                f"{shard.probes} probes): {shard.error}"
+                f"    quarantined shard {index} ({region}, "
+                f"{probes} probes): {error}"
             )
     # Absolute completed counts per round: the CI chaos job compares
     # these between adaptive and non-adaptive runs of one fault plan.
@@ -495,16 +494,13 @@ def render_report(
         )
 
     add("")
-    # runtime_seconds is snapshotted from the stage-span view at the end
-    # of the run; fold the spans directly if the snapshot is missing.
-    timings = result.runtime_seconds or (
-        result.metrics.stages if result.metrics else {}
-    )
+    metrics = result.metrics
+    timings = metrics.stages if metrics is not None else {}
     add("timings: " + ", ".join(f"{k}={v:.1f}s" for k, v in timings.items()))
-    if result.metrics and result.metrics.campaigns:
+    if metrics is not None and metrics.campaigns:
         add("campaign throughput:")
-        for progress in result.metrics.campaigns.values():
-            add("  " + progress.summary())
+        for label in metrics.campaigns:
+            add("  " + metrics.campaign_summary(label))
     _render_resilience(result, add)
     _render_data_quality(result, add)
     if result.config is not None:

@@ -30,7 +30,8 @@ from repro.measure.sink import EventSink
 from repro.world.build import WorldConfig, build_world
 
 if TYPE_CHECKING:
-    from repro.measure.metrics import CampaignProgress, ShardTiming
+    from repro.measure.campaign import CampaignStats
+    from repro.measure.metrics import ShardTiming
     from repro.obs.span import SpanRecord
 
 
@@ -189,34 +190,38 @@ def _config_defaults(config: StudyConfig) -> Dict[str, Any]:
 class _ProgressPrinter(EventSink):
     """Throttled stderr progress for ``--progress``.
 
-    Per-shard lines are throttled to ``min_interval``, but every campaign
-    also gets a guaranteed terminal line: the campaign span closing
-    carries the final counters, so the last update can no longer be
-    swallowed by the throttle -- or skipped entirely when the final shard
-    is quarantined and never merges.
+    Merged shards print the campaign record's running count and rate,
+    throttled to ``min_interval``.  Every campaign's last line comes from
+    its campaign span closing, which carries the final counters and the
+    elapsed time, so the last update can never be swallowed by the
+    throttle -- or skipped when the final shard is quarantined and never
+    merges.
     """
 
     def __init__(self, min_interval: float = 0.5) -> None:
         self._min_interval = min_interval
         self._last_time = 0.0
-        #: campaign label -> probes shown on its most recent line, so
-        #: the terminal flush prints only when something new happened.
-        self._last_probes: Dict[str, int] = {}
+        #: campaign label -> when it started: its first merged shard
+        #: started with the campaign, give or take the merge.
+        self._started: Dict[str, float] = {}
 
     def on_shard_merged(
-        self, progress: CampaignProgress, _timing: ShardTiming
+        self, record: CampaignStats, timing: ShardTiming
     ) -> None:
         now = time.time()
-        done = progress.probes >= progress.expected_probes
-        if not done and now - self._last_time < self._min_interval:
+        started = self._started.setdefault(record.label, now - timing.seconds)
+        merged = record.probes + record.lost_probes
+        if merged >= record.expected_probes:
+            return  # the campaign span's closing line reports the end
+        if now - self._last_time < self._min_interval:
             return
         self._last_time = now
-        self._line(
-            progress.label,
-            probes=progress.probes,
-            expected=progress.expected_probes,
-            rate=progress.probes_per_second,
-            workers=progress.workers,
+        rate = record.probes / (now - started) if now > started else 0.0
+        print(
+            f"  {record.label}: {record.probes}/{record.expected_probes} "
+            f"probes ({_percent(record.probes, record.expected_probes)}), "
+            f"{rate:.0f}/s",
+            file=sys.stderr,
         )
 
     def on_span_closed(self, record: SpanRecord) -> None:
@@ -224,36 +229,21 @@ class _ProgressPrinter(EventSink):
             return
         label = record.name.partition(":")[2] or record.name
         probes = int(record.counter("probes"))
-        if self._last_probes.get(label) == probes:
-            return  # the final merge already printed this state
-        lost = int(record.counter("lost"))
-        self._line(
-            label,
-            probes=probes,
-            expected=int(record.counter("expected")),
-            rate=probes / record.duration if record.duration > 0 else 0.0,
-            workers=int(record.counter("workers")),
-            lost=lost,
-        )
-
-    def _line(
-        self,
-        label: str,
-        probes: int,
-        expected: int,
-        rate: float,
-        workers: int,
-        lost: int = 0,
-    ) -> None:
-        fraction = probes / expected if expected else 1.0
+        expected = int(record.counter("expected"))
+        rate = probes / record.duration if record.duration > 0 else 0.0
         text = (
             f"  {label}: {probes}/{expected} probes "
-            f"({fraction * 100:.0f}%), {rate:.0f}/s, {workers} worker(s)"
+            f"({_percent(probes, expected)}), {rate:.0f}/s, "
+            f"{int(record.counter('workers'))} worker(s)"
         )
+        lost = int(record.counter("lost"))
         if lost:
-            text += f", {lost} probe(s) lost to quarantine"
+            text += f", {lost} probe(s) lost"
         print(text, file=sys.stderr)
-        self._last_probes[label] = probes
+
+
+def _percent(part: int, whole: int) -> str:
+    return f"{(part / whole if whole else 1.0) * 100:.0f}%"
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.net.ip import IPv4
 from repro.core.annotate import HopAnnotation, HopAnnotator
+from repro.measure.sink import EventSink
 from repro.measure.traceroute import Traceroute
 
 
@@ -81,7 +82,7 @@ class ObservatoryStats:
     low_confidence: int = 0
 
 
-class BorderObservatory:
+class BorderObservatory(EventSink):
     """Streaming implementation of the basic inference strategy.
 
     ``min_confidence`` flags -- never filters -- segments whose border
@@ -120,12 +121,9 @@ class BorderObservatory:
 
     # ------------------------------------------------------------------
 
-    def consume(self, trace: Traceroute) -> None:
-        """:class:`~repro.measure.sink.ProbeSink` conformance.
-
-        Campaign executors feed sinks; :meth:`ingest` (unchanged) remains
-        the primary API and still returns the candidate segment.
-        """
+    def on_probe(self, trace: Traceroute) -> None:
+        """Campaign executors feed sinks; :meth:`ingest` remains the
+        primary API and still returns the candidate segment."""
         self.ingest(trace)
 
     def ingest(self, trace: Traceroute) -> Optional[Tuple[IPv4, IPv4]]:

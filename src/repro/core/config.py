@@ -1,13 +1,13 @@
 """Frozen study configuration.
 
-:class:`StudyConfig` replaces the loose keyword arguments
-``AmazonPeeringStudy`` used to take.  It is immutable (safe to share with
-worker processes and to record on the ``StudyResult`` for provenance) and
-carries every knob the end-to-end run honours -- including the resilience
-surface: an optional :class:`~repro.measure.faults.FaultPlan`, per-shard
-timeout and retry bounds, and the checkpoint directory that makes a
-killed campaign resumable.  The old kwargs still work through a
-deprecation shim on ``AmazonPeeringStudy``.
+:class:`StudyConfig` is the one way to configure
+``AmazonPeeringStudy(world, StudyConfig(...))``.  It is immutable (safe
+to share with worker processes and to record on the ``StudyResult`` for
+provenance) and carries every knob the end-to-end run honours --
+including the resilience surface: an optional
+:class:`~repro.measure.faults.FaultPlan`, per-shard timeout and retry
+bounds, and the checkpoint directory that makes a killed campaign
+resumable.
 
 A config can also live in a TOML file (``repro run --config study.toml``,
 with CLI flags as overrides): :meth:`StudyConfig.from_file` /

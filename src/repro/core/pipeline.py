@@ -6,17 +6,18 @@ pinning, cross-validation, VPI detection, grouping, and graph
 characterisation -- and returns a :class:`StudyResult` from which every
 table and figure of the paper can be regenerated.
 
-Configuration lives in one frozen :class:`StudyConfig`; the historical
-loose keyword arguments still work through a deprecation shim.  With
+Configuration lives in one frozen :class:`StudyConfig`.  With
 ``StudyConfig(workers=N)`` the probing campaigns run on a sharded
 ``multiprocessing`` pool and -- because traces are a pure function of
 ``(seed, cloud, region, dst)`` and shards merge in serial order -- the
-``StudyResult`` is identical for any worker count.
+``StudyResult`` is identical for any worker count.  Each campaign keeps
+one :class:`~repro.measure.campaign.CampaignStats` record, registered on
+``result.metrics``; an optional :class:`~repro.measure.sink.EventSink`
+sees every probe, merged shard and closed span of the run.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from repro.errors import DataError, StageError, StudyInterrupted
@@ -52,35 +53,14 @@ from repro.measure.checkpoint import CheckpointStore
 from repro.measure.dnslookup import ReverseDNS
 from repro.measure.executor import RetryPolicy
 from repro.measure.health import HealthLedger
-from repro.measure.metrics import CampaignProgress, ProgressCallback, StudyMetrics
-from repro.measure.sink import (
-    EventSink,
-    FanoutEvents,
-    ProgressCallbackEvents,
-    SinkLike,
-    as_event_sink,
-)
+from repro.measure.metrics import StudyMetrics
+from repro.measure.sink import EventSink, FanoutEvents
 from repro.measure.ping import Pinger
 from repro.measure.supervise import StudySupervisor
 from repro.obs.export import write_trace
 from repro.measure.reachability import PublicVantagePoint
 from repro.measure.traceroute import TracerouteEngine
 from repro.world.model import World
-
-#: Legacy ``AmazonPeeringStudy`` kwargs that map 1:1 onto ``StudyConfig``.
-_LEGACY_CONFIG_KWARGS = (
-    "seed",
-    "expansion_stride",
-    "crossval_folds",
-    "run_vpi",
-    "run_crossval",
-    "workers",
-    "fault_plan",
-    "shard_timeout",
-    "max_retries",
-    "checkpoint_dir",
-    "resume",
-)
 
 
 class _RunContext:
@@ -112,10 +92,7 @@ class _RunContext:
         #: set by the validate stage; consumed by the quality stage.
         self.validation: Optional[DatasetValidationReport] = None
 
-    def campaign_progress(self, label: str) -> CampaignProgress:
-        return self.metrics.campaign(label)
-
-    def campaign_sink(self, sink: SinkLike) -> SinkLike:
+    def campaign_sink(self, sink: EventSink) -> EventSink:
         """Tee a campaign's event stream to the study-wide sink."""
         if self.events is None:
             return sink
@@ -146,42 +123,15 @@ class AmazonPeeringStudy:
         world: World,
         config: Optional[StudyConfig] = None,
         *,
-        events: Optional[SinkLike] = None,
-        progress: Optional[ProgressCallback] = None,
+        events: Optional[EventSink] = None,
         supervisor: Optional[StudySupervisor] = None,
-        **legacy: object,
     ) -> None:
-        if isinstance(config, int):
-            # Oldest call style: the second positional argument was `seed`.
-            legacy.setdefault("seed", config)
-            config = None
-        config = _coerce_config(config, legacy)
-
+        config = config if config is not None else StudyConfig()
         self.world = world
         self.config = config
-        # One consolidated event consumer: probes, merged shards, and
-        # closed spans all flow to `events`.  The legacy per-shard
-        # `progress` callback is adapted onto the same stream.
-        sinks: List[EventSink] = []
-        if events is not None:
-            sinks.append(as_event_sink(events))
-        if progress is not None:
-            warnings.warn(
-                "AmazonPeeringStudy(progress=...) is deprecated; pass "
-                "events=<EventSink> (see repro.measure.sink.EventSink)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            sinks.append(ProgressCallbackEvents(progress))
-        self.events: Optional[EventSink] = (
-            FanoutEvents(*sinks) if sinks else None
-        )
-        # Convenience attributes, kept for existing call sites.
-        self.seed = config.seed
-        self.expansion_stride = config.expansion_stride
-        self.crossval_folds = config.crossval_folds
-        self.run_vpi = config.run_vpi
-        self.run_crossval = config.run_crossval
+        #: the run's one event consumer: probes, merged shards, and
+        #: closed spans all flow here.
+        self.events = events
         seed = config.seed
 
         # Public datasets, optionally degraded by the data fault plan.
@@ -295,11 +245,11 @@ class AmazonPeeringStudy:
             _Stage("pinning", True, self._compute_pinning, self._apply_pinning),
             _Stage(
                 "crossval",
-                self.run_crossval,
+                self.config.run_crossval,
                 self._compute_crossval,
                 self._apply_crossval,
             ),
-            _Stage("vpi", self.run_vpi, self._compute_vpi, self._apply_vpi),
+            _Stage("vpi", self.config.run_vpi, self._compute_vpi, self._apply_vpi),
             _Stage("grouping", True, self._compute_grouping, self._apply_grouping),
             _Stage("icg", True, self._compute_icg, self._apply_icg),
             _Stage("quality", True, self._compute_quality, self._apply_quality),
@@ -343,7 +293,7 @@ class AmazonPeeringStudy:
         if events is not None:
             tracer.add_listener(events.on_span_closed)
         result = StudyResult(
-            seed=self.seed,
+            seed=config.seed,
             scale=self.world.config.scale,
             config=config,
             metrics=metrics,
@@ -383,10 +333,14 @@ class AmazonPeeringStudy:
                                 raise StageError(stage.name, exc) from exc
                             stage.apply(ctx, payload, False)
                             # A stage computed after any shard quarantine
-                            # is degraded content; never checkpoint it.
-                            # Resume re-runs it, healing the quarantined
-                            # shards from the campaign journals instead.
-                            if store is not None and not metrics.degraded:
+                            # in this run is degraded content, even once
+                            # recovery healed the probes: the governor's
+                            # ledger folded the quarantine, and transport
+                            # faults are outside the fingerprint.  Never
+                            # checkpoint it; resume re-runs it, healing
+                            # the quarantined shards from the campaign
+                            # journals instead.
+                            if store is not None and not metrics.total_quarantined:
                                 digest = store.save(
                                     stage.name, fingerprint, payload
                                 )
@@ -408,15 +362,13 @@ class AmazonPeeringStudy:
             interrupt_span.close()
             raise
         finally:
-            self._close_study_span(study_span, metrics, ctx)
-            # The legacy timers dict is a snapshot of the stage-span view.
-            result.runtime_seconds = metrics.stages
+            self._close_study_span(study_span, ctx)
             if config.trace_out:
                 write_trace(
                     config.trace_out,
                     tracer.records,
                     meta={
-                        "seed": self.seed,
+                        "seed": config.seed,
                         "scale": self.world.config.scale,
                         "workers": config.workers,
                     },
@@ -443,7 +395,7 @@ class AmazonPeeringStudy:
         config = self.config
         metrics = StudyMetrics()
         result = StudyResult(
-            seed=self.seed,
+            seed=config.seed,
             scale=self.world.config.scale,
             config=config,
             metrics=metrics,
@@ -469,15 +421,9 @@ class AmazonPeeringStudy:
                 span.set("resumed", 1)
             chain.advance(stage.name, digest)
             recovered.append(stage.name)
-        result.runtime_seconds = metrics.stages
         return result, recovered
 
-    def _close_study_span(
-        self,
-        study_span: Any,
-        metrics: StudyMetrics,
-        ctx: Optional[_RunContext] = None,
-    ) -> None:
+    def _close_study_span(self, study_span: Any, ctx: _RunContext) -> None:
         # Annotation-layer counters ride on the study span: cache
         # behaviour, mean fallback-chain depth, and how often sources
         # disagreed.  Observability only -- outside the digest.
@@ -508,11 +454,16 @@ class AmazonPeeringStudy:
             "bgp_lpm_probes",
             self.bgp_r1.probe_count + self.bgp_r2.probe_count,
         )
-        study_span.set("dataset_disagreements", metrics.dataset_disagreements)
+        quality = ctx.result.data_quality
         study_span.set(
-            "low_confidence_inferences", metrics.low_confidence_inferences
+            "dataset_disagreements",
+            quality.total_disagreements if quality is not None else 0,
         )
-        if ctx is not None and ctx.governor is not None:
+        study_span.set(
+            "low_confidence_inferences",
+            quality.flagged_count if quality is not None else 0,
+        )
+        if ctx.governor is not None:
             # Adaptive control-plane counters (DESIGN.md §6.6): breaker
             # transitions fold from the ledger's event log, governor
             # decisions from its own tallies.  Digest-neutral.
@@ -554,11 +505,11 @@ class AmazonPeeringStudy:
         # §3-§4.1: round-1 sweep.
         stats = ctx.campaign.run_round1(
             ctx.campaign_sink(self.observatory),
-            progress=ctx.campaign_progress("round1"),
             checkpoint_store=self.checkpoint_store,
             tracer=ctx.tracer,
             worker_spans=ctx.worker_spans,
         )
+        ctx.metrics.campaigns[stats.label] = stats
         r1_abis = self.observatory.candidate_abis()
         r1_cbis = self.observatory.candidate_cbis()
         return {
@@ -598,12 +549,12 @@ class AmazonPeeringStudy:
         stats = ctx.campaign.run_expansion(
             r1_cbis,
             ctx.campaign_sink(self.observatory),
-            stride=self.expansion_stride,
-            progress=ctx.campaign_progress("round2"),
+            stride=self.config.expansion_stride,
             checkpoint_store=self.checkpoint_store,
             tracer=ctx.tracer,
             worker_spans=ctx.worker_spans,
         )
+        ctx.metrics.campaigns[stats.label] = stats
         e_abis = self.observatory.candidate_abis()
         e_cbis = self.observatory.candidate_cbis()
         return {
@@ -651,7 +602,7 @@ class AmazonPeeringStudy:
             stats_by_label["round1"] = ctx.result.round1_stats
         if ctx.result.round2_stats is not None:
             stats_by_label["round2"] = ctx.result.round2_stats
-        events = as_event_sink(ctx.campaign_sink(self.observatory))
+        events = ctx.campaign_sink(self.observatory)
         try:
             report = run_recovery(
                 ctx.governor,
@@ -784,8 +735,8 @@ class AmazonPeeringStudy:
                 result.alias_sets,
                 result.final_segments,
                 result.segment_rtt_diff,
-                folds=self.crossval_folds,
-                seed=self.seed,
+                folds=self.config.crossval_folds,
+                seed=self.config.seed,
             )
         }
 
@@ -814,10 +765,11 @@ class AmazonPeeringStudy:
             result.cbis,
             ixp_cbis,
             self.observatory.discovery_dsts(),
-            progress_factory=lambda cloud: ctx.campaign_progress(f"vpi:{cloud}"),
             tracer=ctx.tracer,
             worker_spans=ctx.worker_spans,
         )
+        for stats in vpi.stats.values():
+            ctx.metrics.campaigns[stats.label] = stats
         return {"vpi": vpi}
 
     def _apply_vpi(
@@ -902,10 +854,6 @@ class AmazonPeeringStudy:
         self, ctx: _RunContext, payload: Dict[str, Any], resumed: bool
     ) -> None:
         ctx.result.data_quality = payload["data_quality"]
-        ctx.metrics.note_data_quality(
-            payload["data_quality"].total_disagreements,
-            payload["data_quality"].flagged_count,
-        )
 
     # ------------------------------------------------------------------
 
@@ -1012,25 +960,3 @@ class AmazonPeeringStudy:
             diffs[(abi, cbi)] = abs(cbi_rtt - abi_rtt)
         return diffs
 
-
-def _coerce_config(
-    config: Optional[StudyConfig], legacy: Dict[str, object]
-) -> StudyConfig:
-    """Merge the deprecated loose kwargs into a :class:`StudyConfig`."""
-    unknown = set(legacy) - set(_LEGACY_CONFIG_KWARGS)
-    if unknown:
-        raise TypeError(
-            f"AmazonPeeringStudy got unexpected keyword argument(s): "
-            f"{sorted(unknown)}"
-        )
-    if config is None:
-        config = StudyConfig()
-    if legacy:
-        warnings.warn(
-            "passing loose keyword arguments to AmazonPeeringStudy is "
-            "deprecated; pass config=StudyConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        config = config.replace(**legacy)
-    return config

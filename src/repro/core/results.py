@@ -127,9 +127,8 @@ class StudyResult:
     scale: float = 0.0
     #: the exact configuration the study ran with, for reproducibility.
     config: Optional[StudyConfig] = None
-    #: per-stage wall-clock and per-campaign throughput.
+    #: per-stage wall-clock and the record of every campaign probed.
     metrics: Optional[StudyMetrics] = None
-    runtime_seconds: Dict[str, float] = field(default_factory=dict)
     #: dataset dirt, annotation confidence, and flagged inferences.
     #: Excluded from ``digest_inputs`` by design (observability only).
     data_quality: Optional[DataQualityReport] = None

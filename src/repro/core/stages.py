@@ -70,7 +70,9 @@ from repro.measure.health import BreakerEvent, BreakerSnapshot
 if TYPE_CHECKING:
     from repro.core.config import StudyConfig
 
-_FORMAT_VERSION = 1
+#: Bumped whenever a registered dataclass changes shape, so a record
+#: written under the old shape is recomputed, not decoded with defaults.
+_FORMAT_VERSION = 2
 
 #: The fixed stage order of ``AmazonPeeringStudy.run`` (§3 through §7).
 STAGE_ORDER = (

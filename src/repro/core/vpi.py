@@ -17,7 +17,7 @@ per-cloud response addresses, and private-address VPIs all stay invisible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional, Sequence, Set
+from typing import Dict, Iterable, Optional, Sequence, Set
 
 from repro.net.ip import IPv4
 from repro.core.annotate import HopAnnotator
@@ -26,7 +26,6 @@ from repro.measure.campaign import CampaignStats, ProbeCampaign, vpi_target_pool
 from repro.measure.checkpoint import CheckpointStore
 from repro.measure.executor import RetryPolicy
 from repro.measure.faults import FaultPlan
-from repro.measure.metrics import CampaignProgress
 from repro.measure.supervise import StudySupervisor
 from repro.measure.traceroute import TracerouteEngine
 from repro.obs.span import TracerLike
@@ -95,7 +94,6 @@ class VPIDetector:
         amazon_cbis: Set[IPv4],
         ixp_cbis: Set[IPv4],
         discovery_dsts: Iterable[IPv4],
-        progress_factory: Optional[Callable[[str], "CampaignProgress"]] = None,
         tracer: Optional[TracerLike] = None,
         worker_spans: bool = False,
     ) -> VPIDetectionResult:
@@ -120,7 +118,6 @@ class VPIDetector:
             stats = campaign.run(
                 pool,
                 observatory,
-                progress=progress_factory(cloud) if progress_factory else None,
                 checkpoint_store=self.checkpoint_store,
                 checkpoint_label=f"vpi:{cloud}",
                 tracer=tracer,

@@ -21,23 +21,10 @@ from repro.measure.executor import (
     plan_shards,
 )
 from repro.measure.faults import FaultPlan, InjectedWorkerCrash
-from repro.measure.metrics import (
-    CampaignProgress,
-    QuarantinedShard,
-    ShardFailure,
-    ShardTiming,
-    StudyMetrics,
-)
+from repro.measure.metrics import ShardTiming, StudyMetrics
 from repro.measure.ping import Pinger
 from repro.measure.reachability import PublicVantagePoint
-from repro.measure.sink import (
-    CollectorSink,
-    EventSink,
-    FanoutEvents,
-    ProbeSink,
-    StatsSink,
-    as_event_sink,
-)
+from repro.measure.sink import CollectorSink, EventSink, FanoutEvents
 from repro.measure.traceroute import (
     GAP_LIMIT,
     StopReason,
@@ -49,7 +36,6 @@ from repro.measure.traceroute import (
 __all__ = [
     "AliasResolver",
     "CampaignCheckpoint",
-    "CampaignProgress",
     "CampaignStats",
     "CheckpointStore",
     "CloudMembership",
@@ -61,21 +47,16 @@ __all__ = [
     "InjectedWorkerCrash",
     "Pinger",
     "ProbeCampaign",
-    "ProbeSink",
     "PublicVantagePoint",
-    "QuarantinedShard",
     "RetryPolicy",
     "Shard",
-    "ShardFailure",
     "ShardTiming",
     "ShardedExecutor",
-    "StatsSink",
     "StopReason",
     "StudyMetrics",
     "TraceHop",
     "Traceroute",
     "TracerouteEngine",
-    "as_event_sink",
     "partition_targets",
     "plan_shards",
     "vpi_target_pool",

@@ -4,32 +4,23 @@ Round 1 sweeps the ``.1`` of every /24 in the target universe from every
 region.  Round 2 ("expansion probing") targets every other address of the
 /24s around the CBIs discovered in round 1.  The VPI round re-probes a
 target pool from the four other clouds.  All campaigns stream traces into
-:class:`~repro.measure.sink.ProbeSink` consumers so memory stays bounded
+:class:`~repro.measure.sink.EventSink` consumers so memory stays bounded
 at any scale, and every run goes through the sharded executor -- serial
 when ``workers <= 1``, a ``multiprocessing`` pool otherwise, with
-identical output either way.
+identical output either way.  Each campaign keeps one
+:class:`CampaignStats` record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-)
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.net.ip import IPv4, IPv4IntervalSet, dot1_targets, is_private_or_shared
 from repro.measure.checkpoint import CheckpointStore
 from repro.measure.executor import RetryPolicy
 from repro.measure.faults import FaultPlan
-from repro.measure.metrics import CampaignProgress
-from repro.measure.sink import SinkLike
+from repro.measure.sink import EventSink
 from repro.measure.supervise import StudySupervisor
 from repro.measure.traceroute import Traceroute, TracerouteEngine
 from repro.obs.span import TracerLike
@@ -38,28 +29,47 @@ from repro.world.model import World
 if TYPE_CHECKING:  # pragma: no cover - annotation only (import cycle)
     from repro.measure.adapt import ProbeGovernor
 
-#: Deprecated alias; campaign APIs now accept any :data:`SinkLike`
-#: (a ``ProbeSink`` or a bare callable).  Kept for old call sites.
-TraceConsumer = Callable[[Traceroute], None]
-
 
 @dataclass
 class CampaignStats:
-    """Yield statistics, mirroring the §3 discussion."""
+    """The one record of a probing campaign: its §3 yield and account.
 
+    The executor updates it once per merged shard, failed attempt,
+    quarantine and replayed shard, and the recovery round heals it in
+    place.  Everything else reads it: the campaign span counters,
+    ``EventSink.on_shard_merged``, the report's throughput and
+    resilience blocks, ``--progress`` and the ``StudyMetrics`` rollups.
+
+    The last three fields say *how* the yield was obtained, which
+    depends on the execution schedule; they are left out of ``==`` (and
+    of the study digest), so a retried or resumed campaign still equals
+    a clean one.
+    """
+
+    label: str = "campaign"
+    #: regions x targets the campaign set out to probe.
+    expected_probes: int = 0
     probes: int = 0
     completed: int = 0
     left_cloud: int = 0
     gap_limited: int = 0
-    #: probes never delivered because their shard was quarantined.
+    #: probes not delivered: their shard was quarantined, or they were
+    #: deferred and recovery has not healed them (yet).
     lost_probes: int = 0
-    quarantined_shards: int = 0
     #: probes re-paced behind an open circuit breaker (adaptive runs
     #: only); counted in ``lost_probes`` until recovery heals them.
     deferred_probes: int = 0
     #: probes the recovery round delivered after deferral/quarantine.
     recovered_probes: int = 0
     by_region: Dict[str, int] = field(default_factory=dict)
+    #: failed shard attempts by error category, in first-seen order.
+    failures: Dict[str, int] = field(default_factory=dict, compare=False)
+    #: quarantined shard index -> (region, probes lost, error).
+    quarantined: Dict[int, Tuple[str, int, str]] = field(
+        default_factory=dict, compare=False
+    )
+    #: shards replayed from a checkpoint journal instead of re-probed.
+    resumed_shards: int = field(default=0, compare=False)
 
     def record(self, trace: Traceroute, left_cloud: bool) -> None:
         self.probes += 1
@@ -70,6 +80,28 @@ class CampaignStats:
             self.gap_limited += 1
         if left_cloud:
             self.left_cloud += 1
+
+    def note_failure(self, category: str) -> None:
+        self.failures[category] = self.failures.get(category, 0) + 1
+
+    def note_quarantine(
+        self, index: int, region: str, probes: int, error: str
+    ) -> None:
+        self.lost_probes += probes
+        self.quarantined[index] = (region, probes, error)
+
+    @property
+    def quarantined_shards(self) -> int:
+        return len(self.quarantined)
+
+    @property
+    def failed_attempts(self) -> int:
+        return sum(self.failures.values())
+
+    @property
+    def retries(self) -> int:
+        """Failed attempts that were retried (not final quarantines)."""
+        return self.failed_attempts - len(self.quarantined)
 
     @property
     def completeness(self) -> float:
@@ -151,11 +183,10 @@ class ProbeCampaign:
     def run(
         self,
         targets: Iterable[IPv4],
-        sink: SinkLike,
+        sink: EventSink,
         stats: Optional[CampaignStats] = None,
         regions: Optional[Sequence[str]] = None,
         workers: Optional[int] = None,
-        progress: Optional[CampaignProgress] = None,
         checkpoint_store: Optional[CheckpointStore] = None,
         checkpoint_label: str = "campaign",
         tracer: Optional[TracerLike] = None,
@@ -190,7 +221,6 @@ class ProbeCampaign:
             sink,
             stats,
             regions=list(regions or self.regions),
-            progress=progress,
             checkpoint_store=checkpoint_store,
             checkpoint_label=checkpoint_label,
             tracer=tracer,
@@ -211,10 +241,9 @@ class ProbeCampaign:
 
     def run_round1(
         self,
-        sink: SinkLike,
+        sink: EventSink,
         stats: Optional[CampaignStats] = None,
         workers: Optional[int] = None,
-        progress: Optional[CampaignProgress] = None,
         checkpoint_store: Optional[CheckpointStore] = None,
         tracer: Optional[TracerLike] = None,
         worker_spans: bool = False,
@@ -224,7 +253,6 @@ class ProbeCampaign:
             sink,
             stats,
             workers=workers,
-            progress=progress,
             checkpoint_store=checkpoint_store,
             checkpoint_label="round1",
             tracer=tracer,
@@ -265,11 +293,10 @@ class ProbeCampaign:
     def run_expansion(
         self,
         cbi_ips: Iterable[IPv4],
-        sink: SinkLike,
+        sink: EventSink,
         stats: Optional[CampaignStats] = None,
         stride: int = 1,
         workers: Optional[int] = None,
-        progress: Optional[CampaignProgress] = None,
         checkpoint_store: Optional[CheckpointStore] = None,
         tracer: Optional[TracerLike] = None,
         worker_spans: bool = False,
@@ -279,7 +306,6 @@ class ProbeCampaign:
             sink,
             stats,
             workers=workers,
-            progress=progress,
             checkpoint_store=checkpoint_store,
             checkpoint_label="round2",
             tracer=tracer,

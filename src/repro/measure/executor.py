@@ -6,7 +6,7 @@ a discovered CBI (§3, §4.2).  This module splits a campaign's
 ``regions x targets`` space into deterministic contiguous shards, traces
 each shard on a ``multiprocessing`` worker pool, and merges the results
 back **in shard order** so downstream consumers (the
-``BorderObservatory``, yield stats, progress counters) see exactly the
+``BorderObservatory``, the campaign record) see exactly the
 trace stream a serial run would have produced.
 
 Two properties make the merge bit-for-bit reproducible at any worker
@@ -26,8 +26,8 @@ At campaign scale, failure is routine, so the executor is resilient:
   timeout, then bounded retries with exponential backoff (a pool-side
   failure retries *inline* in the parent, which always makes progress);
 * a shard that exhausts its retries is **quarantined**: its probes are
-  reported lost (``CampaignStats.lost_probes``, progress completeness)
-  and the campaign degrades gracefully instead of dying;
+  reported lost (``CampaignStats.lost_probes`` and completeness) and the
+  campaign degrades gracefully instead of dying;
 * with a :class:`~repro.measure.checkpoint.CampaignCheckpoint`, every
   completed shard is journalled to disk, and a killed run restarts
   without re-probing finished shards.
@@ -47,6 +47,7 @@ from __future__ import annotations
 import hashlib
 import math
 import multiprocessing
+import signal
 import sys
 import time
 from array import array
@@ -71,9 +72,9 @@ from repro.errors import (
 )
 from repro.measure.checkpoint import CampaignCheckpoint, CheckpointStore
 from repro.measure.faults import FaultPlan
-from repro.measure.metrics import CampaignProgress, QuarantinedShard, ShardTiming
+from repro.measure.metrics import ShardTiming
 from repro.measure.supervise import StudySupervisor
-from repro.measure.sink import EventSink, SinkLike, as_event_sink
+from repro.measure.sink import EventSink
 from repro.measure.traceroute import TraceHop, Traceroute, TracerouteEngine
 from repro.net.ip import IPv4
 from repro.obs.span import NULL_TRACER, PackedSpan, Tracer, TracerLike
@@ -205,6 +206,11 @@ def _init_worker(
     from repro.measure.campaign import CloudMembership
 
     global _WORKER_STATE
+    # A forked worker inherits the parent's signal handlers.  Under the
+    # study supervisor's SIGTERM handler it would survive
+    # ``pool.terminate()`` and hang the pool's join; cancelling is the
+    # parent's job.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     # Observation faults belong to the engine (they shape trace content
     # exactly as the parent's engine would); transport faults belong to
     # the shard attempt.  Keeping them separate guarantees worker-built
@@ -350,24 +356,25 @@ def trace_shard(
 class _ShardOutcome:
     """What one shard's resume/attempt/retry loop produced.
 
-    ``result`` is ``None`` only for a quarantined shard.  ``worker_spans``
-    carries the worker-side packed span rows (pool path with tracing on);
-    ``attempts`` counts attempts actually made, and ``resumed`` marks a
-    checkpoint replay.
+    ``result`` is ``None`` only for a quarantined shard, whose last
+    failure is ``error``.  ``worker_spans`` carries the worker-side
+    packed span rows (pool path with tracing on); ``attempts`` counts
+    attempts actually made, and ``resumed`` marks a checkpoint replay.
     """
 
     result: Optional[ShardResult]
     worker_spans: Optional[List[PackedSpan]] = None
     attempts: int = 1
     resumed: bool = False
+    error: str = ""
 
 
 class ShardedExecutor:
     """Runs a campaign's probe matrix over a worker pool (or inline).
 
     ``workers <= 1`` executes the same shard plan in-process, so the two
-    paths share one code path for ordering, stats, progress, retries, and
-    checkpoints -- the parallel run differs only in *where* a shard's
+    paths share one code path for ordering, the campaign record, retries,
+    and checkpoints -- the parallel run differs only in *where* a shard's
     first attempt is traced.
     """
 
@@ -401,10 +408,9 @@ class ShardedExecutor:
     def run(
         self,
         targets: Iterable[IPv4],
-        sink: SinkLike,
+        sink: EventSink,
         stats: "CampaignStats",
         regions: Sequence[str],
-        progress: Optional[CampaignProgress] = None,
         checkpoint_store: Optional[CheckpointStore] = None,
         checkpoint_label: str = "campaign",
         tracer: Optional[TracerLike] = None,
@@ -412,13 +418,13 @@ class ShardedExecutor:
     ) -> None:
         """Trace ``regions x targets`` and stream merged results to ``sink``.
 
-        ``sink`` is anything ``as_event_sink`` accepts; merged traces
-        arrive as ``on_probe`` events in serial order, each merged shard
-        fires ``on_shard_merged``, and the sink's ``close()`` fires after
-        the last event.  ``stats`` is a ``CampaignStats`` updated in
-        merge order.  With a ``checkpoint_store``, completed shards are
-        journalled under ``checkpoint_label`` and replayed on the next
-        run.
+        Merged traces arrive at ``sink`` as ``on_probe`` events in serial
+        order, each merged shard fires ``on_shard_merged`` with ``stats``,
+        and the sink's ``close()`` fires after the last event.  ``stats``
+        is the campaign's record, labelled ``checkpoint_label`` and
+        updated in merge order.  With a ``checkpoint_store``, completed
+        shards are journalled under ``checkpoint_label`` and replayed on
+        the next run.
 
         ``tracer`` records a ``campaign:<label>`` span with one ``shard``
         span per merged shard; ``worker_spans=True`` additionally traces
@@ -431,7 +437,6 @@ class ShardedExecutor:
         target_list = (
             targets if isinstance(targets, (list, tuple)) else list(targets)
         )
-        events = as_event_sink(sink)
         trc: TracerLike = tracer if tracer is not None else NULL_TRACER
         shard_size = self.shard_size or default_shard_size(
             len(target_list), self.workers
@@ -443,12 +448,9 @@ class ShardedExecutor:
                 checkpoint_label,
                 self._fingerprint(regions, target_list, shard_size),
             )
-        if progress is not None:
-            progress.start(
-                expected_probes=len(target_list) * len(regions),
-                shards=len(shards),
-                workers=self.workers,
-            )
+        expected = len(target_list) * len(regions)
+        stats.label = checkpoint_label
+        stats.expected_probes += expected
         if self.governor is not None:
             # Deferrals recorded during this campaign carry its label, so
             # the recovery round heals the right round's stats.
@@ -456,7 +458,7 @@ class ShardedExecutor:
         campaign_span = trc.span(
             f"campaign:{checkpoint_label}", category="campaign"
         )
-        campaign_span.set("expected", len(target_list) * len(regions))
+        campaign_span.set("expected", expected)
         campaign_span.set("shards", len(shards))
         campaign_span.set("workers", self.workers)
         try:
@@ -464,11 +466,10 @@ class ShardedExecutor:
                 self._merge(
                     shards,
                     lambda s: self._run_shard(
-                        s, None, checkpoint, progress, trc, worker_spans
+                        s, None, checkpoint, stats, trc, worker_spans
                     ),
-                    events,
+                    sink,
                     stats,
-                    progress,
                     trc,
                     self.supervisor,
                     self.governor,
@@ -501,13 +502,12 @@ class ShardedExecutor:
                             s,
                             pending.get(s.index),
                             checkpoint,
-                            progress,
+                            stats,
                             trc,
                             worker_spans,
                         ),
-                        events,
+                        sink,
                         stats,
-                        progress,
                         trc,
                         self.supervisor,
                         self.governor,
@@ -516,19 +516,11 @@ class ShardedExecutor:
                     pool.terminate()
                     pool.join()
         finally:
-            if progress is not None:
-                progress.finish()
-                campaign_span.set("probes", progress.probes)
-                campaign_span.set("lost", progress.lost_probes)
-                campaign_span.set("retries", progress.retries)
-                campaign_span.set("quarantined", len(progress.quarantined))
-                campaign_span.set("resumed", progress.resumed_shards)
-            else:
-                # Tracer-only runs still get final yield counters, from
-                # the stats the merge loop updated.
-                campaign_span.set("probes", stats.probes)
-                campaign_span.set("lost", stats.lost_probes)
-                campaign_span.set("quarantined", stats.quarantined_shards)
+            campaign_span.set("probes", stats.probes)
+            campaign_span.set("lost", stats.lost_probes)
+            campaign_span.set("retries", stats.retries)
+            campaign_span.set("quarantined", stats.quarantined_shards)
+            campaign_span.set("resumed", stats.resumed_shards)
             if stats.deferred_probes:
                 campaign_span.set("deferred", stats.deferred_probes)
             campaign_span.close()
@@ -537,7 +529,7 @@ class ShardedExecutor:
                 # replaced, fsynced file -- runs on interrupts too, so a
                 # cancelled study leaves a durable, untorn journal behind.
                 checkpoint.finalize()
-            events.close()
+            sink.close()
 
     # ------------------------------------------------------------------
 
@@ -589,22 +581,23 @@ class ShardedExecutor:
         shard: Shard,
         handle: Optional["AsyncResult[Tuple[Any, ...]]"],
         checkpoint: Optional[CampaignCheckpoint],
-        progress: Optional[CampaignProgress],
+        stats: "CampaignStats",
         tracer: TracerLike,
         worker_spans: bool,
     ) -> _ShardOutcome:
         """One shard through resume -> attempt -> retry -> quarantine.
 
-        The outcome's ``result`` is ``None`` only when the shard is
-        quarantined; the merge then accounts for the lost probes instead
-        of crashing the run.  Checkpoint journals always store the bare
-        4-element wire tuple (via ``_pack_result``), never span rows.
+        Replays and failed attempts are noted on ``stats`` as they
+        happen.  The outcome's ``result`` is ``None`` only when the shard
+        is quarantined; the merge then accounts for the lost probes
+        instead of crashing the run.  Checkpoint journals always store
+        the bare 4-element wire tuple (via ``_pack_result``), never span
+        rows.
         """
         if checkpoint is not None:
             stored = checkpoint.get(shard.index)
             if stored is not None:
-                if progress is not None:
-                    progress.note_resumed(shard.index)
+                stats.resumed_shards += 1
                 return _ShardOutcome(
                     result=_unpack_result(stored, self.cloud),
                     attempts=0,
@@ -639,15 +632,12 @@ class ShardedExecutor:
             except Exception as exc:  # worker crash, timeout, injected fault
                 failure = wrap_error(exc)
                 attempt += 1
-                if progress is not None:
-                    progress.note_failure(
-                        shard.index,
-                        _describe_error(failure),
-                        category=failure.category,
-                    )
+                stats.note_failure(failure.category)
                 if attempt > self.retry.max_retries:
-                    return self._quarantine(
-                        shard, attempt, _describe_error(failure), progress
+                    return _ShardOutcome(
+                        result=None,
+                        attempts=attempt,
+                        error=_describe_error(failure),
                     )
                 if (
                     self.supervisor is not None
@@ -655,11 +645,11 @@ class ShardedExecutor:
                 ):
                     # The study-wide retry budget is spent: degrade now
                     # instead of burning the deadline on a sick campaign.
-                    return self._quarantine(
-                        shard,
-                        attempt,
-                        _describe_error(failure) + " (retry budget exhausted)",
-                        progress,
+                    return _ShardOutcome(
+                        result=None,
+                        attempts=attempt,
+                        error=_describe_error(failure)
+                        + " (retry budget exhausted)",
                     )
                 # Both quarantine exits above happen *before* any sleep:
                 # a retry definitely remains past this point, and only
@@ -676,24 +666,6 @@ class ShardedExecutor:
                 worker_spans=worker_packed,
                 attempts=attempt + 1,
             )
-
-    def _quarantine(
-        self,
-        shard: Shard,
-        attempts: int,
-        error: str,
-        progress: Optional[CampaignProgress],
-    ) -> _ShardOutcome:
-        if progress is not None:
-            progress.note_quarantine(
-                QuarantinedShard(
-                    index=shard.index,
-                    region=shard.region,
-                    probes=len(shard.targets),
-                    error=error,
-                )
-            )
-        return _ShardOutcome(result=None, attempts=attempts)
 
     def _wait_for_shard(
         self,
@@ -737,7 +709,6 @@ class ShardedExecutor:
         fetch: Callable[[Shard], _ShardOutcome],
         events: EventSink,
         stats: "CampaignStats",
-        progress: Optional[CampaignProgress],
         tracer: TracerLike,
         supervisor: Optional[StudySupervisor] = None,
         governor: Optional["ProbeGovernor"] = None,
@@ -763,8 +734,9 @@ class ShardedExecutor:
             outcome = fetch(shard)
             result = outcome.result
             if result is None:  # quarantined: degrade, don't die
-                stats.lost_probes += len(shard.targets)
-                stats.quarantined_shards += 1
+                stats.note_quarantine(
+                    shard.index, shard.region, len(shard.targets), outcome.error
+                )
                 if governor is not None:
                     governor.note_quarantine(shard.region, shard.targets)
                 span.set("probes", 0)
@@ -794,15 +766,15 @@ class ShardedExecutor:
             if outcome.resumed:
                 span.set("resumed", 1)
             span.close()
-            if progress is not None:
-                timing = ShardTiming(
+            events.on_shard_merged(
+                stats,
+                ShardTiming(
                     index=result.index,
                     region=result.region,
                     probes=len(result.items),
                     seconds=result.seconds,
-                )
-                progress.note_shard(timing)
-                events.on_shard_merged(progress, timing)
+                ),
+            )
 
 
 def _describe_error(exc: BaseException) -> str:

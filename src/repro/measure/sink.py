@@ -1,67 +1,33 @@
 """Composable consumers of campaign event streams.
 
-PR 1 grew three parallel callback families: the per-trace
-:class:`ProbeSink` protocol, the per-shard ``ProgressCallback``, and --
-with the observability layer -- per-span listeners.  :class:`EventSink`
-collapses them into one consumer surface with three events:
+:class:`EventSink` is the one consumer type of the measurement plane,
+with three events:
 
 * ``on_probe(trace)`` -- one merged traceroute, in serial order;
-* ``on_shard_merged(progress, timing)`` -- a shard's results just
-  entered the merged stream (``progress`` is the campaign's live
-  :class:`~repro.measure.metrics.CampaignProgress`);
+* ``on_shard_merged(record, timing)`` -- a shard's results just entered
+  the merged stream (``record`` is the campaign's live
+  :class:`~repro.measure.campaign.CampaignStats`);
 * ``on_span_closed(record)`` -- a tracer span closed (study, stage,
   campaign, shard, probe-batch, ...).
 
 All handlers default to no-ops, so a sink subclasses only what it
-needs; :class:`FanoutEvents` composes sinks; :func:`as_event_sink`
-coerces the historical shapes (a :class:`ProbeSink`, a bare
-``Callable[[Traceroute], None]``) without churn at the call sites.
-
-The PR 1 compatibility shims (``as_sink``, ``FanoutSink``,
-``CallbackSink``), deprecated since the event-sink unification, are
-gone: :func:`as_event_sink` / :class:`FanoutEvents` are the one way to
-coerce and compose sinks, and the API lockfile records the slimmer
-surface.
+needs; :class:`FanoutEvents` composes sinks.
 """
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    List,
-    Optional,
-    Protocol,
-    Union,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.measure.traceroute import Traceroute
 
 if TYPE_CHECKING:
-    from repro.measure.metrics import CampaignProgress, ShardTiming
+    from repro.measure.campaign import CampaignStats
+    from repro.measure.metrics import ShardTiming
     from repro.obs.span import SpanRecord
 
 
-@runtime_checkable
-class ProbeSink(Protocol):
-    """Anything that can receive a stream of traceroutes.
-
-    ``close()`` is optional; when present it is invoked once by the
-    executor after the campaign's last trace has been delivered.
-    """
-
-    def consume(self, trace: Traceroute) -> None:  # pragma: no cover - protocol
-        ...
-
-
-#: What campaign APIs accept: an event sink, a probe sink, or a bare
-#: per-trace callable.
-SinkLike = Union["EventSink", ProbeSink, Callable[[Traceroute], None]]
-
-
 class EventSink:
-    """The unified campaign event consumer; every handler is a no-op.
+    """The campaign event consumer; every handler is a no-op.
 
     Subclass and override only the events you care about.  ``close()``
     fires once per campaign, after that campaign's last event.
@@ -71,7 +37,7 @@ class EventSink:
         pass
 
     def on_shard_merged(
-        self, progress: "CampaignProgress", timing: "ShardTiming"
+        self, record: "CampaignStats", timing: "ShardTiming"
     ) -> None:
         pass
 
@@ -82,64 +48,25 @@ class EventSink:
         pass
 
 
-class ProbeSinkEvents(EventSink):
-    """Adapter: a :class:`ProbeSink` consuming the unified event stream."""
-
-    def __init__(self, sink: ProbeSink) -> None:
-        self.sink = sink
-
-    def on_probe(self, trace: Traceroute) -> None:
-        self.sink.consume(trace)
-
-    def close(self) -> None:
-        close_sink(self.sink)
-
-
-class CallbackEvents(EventSink):
-    """Adapter: a bare per-trace callable on the unified event stream."""
-
-    def __init__(self, fn: Callable[[Traceroute], None]) -> None:
-        self.fn = fn
-
-    def on_probe(self, trace: Traceroute) -> None:
-        self.fn(trace)
-
-
-class ProgressCallbackEvents(EventSink):
-    """Adapter: a legacy per-shard ``ProgressCallback`` as an event sink."""
-
-    def __init__(
-        self, fn: Callable[["CampaignProgress", "ShardTiming"], None]
-    ) -> None:
-        self.fn = fn
-
-    def on_shard_merged(
-        self, progress: "CampaignProgress", timing: "ShardTiming"
-    ) -> None:
-        self.fn(progress, timing)
-
-
 class FanoutEvents(EventSink):
     """Deliver every event to several sinks, in construction order.
 
-    Accepts anything :func:`as_event_sink` accepts; ``None`` entries are
-    dropped, so optional sinks compose without conditionals.
+    ``None`` entries are dropped, so optional sinks compose without
+    conditionals.
     """
 
-    def __init__(self, *sinks: Optional[SinkLike]) -> None:
-        self.sinks: List[EventSink] = [
-            as_event_sink(s) for s in sinks if s is not None
-        ]
+    def __init__(self, *sinks: Optional[EventSink]) -> None:
+        self.sinks: List[EventSink] = [s for s in sinks if s is not None]
 
     def on_probe(self, trace: Traceroute) -> None:
         for sink in self.sinks:
             sink.on_probe(trace)
 
     def on_shard_merged(
-        self, progress: "CampaignProgress", timing: "ShardTiming"
+        self, record: "CampaignStats", timing: "ShardTiming"
     ) -> None:
         for sink in self.sinks:
-            sink.on_shard_merged(progress, timing)
+            sink.on_shard_merged(record, timing)
 
     def on_span_closed(self, record: "SpanRecord") -> None:
         for sink in self.sinks:
@@ -150,67 +77,20 @@ class FanoutEvents(EventSink):
             sink.close()
 
 
-def as_event_sink(obj: SinkLike) -> EventSink:
-    """Coerce any accepted sink shape to an :class:`EventSink`.
-
-    Accepts an :class:`EventSink` (returned as-is), a :class:`ProbeSink`
-    (wrapped so ``consume`` receives ``on_probe`` events), or a bare
-    per-trace callable.
-    """
-    if isinstance(obj, EventSink):
-        return obj
-    if isinstance(obj, ProbeSink):
-        return ProbeSinkEvents(obj)
-    if callable(obj):
-        return CallbackEvents(obj)
-    raise TypeError(f"not an EventSink, ProbeSink, or callable: {obj!r}")
-
-
-def close_sink(sink: ProbeSink) -> None:
-    """Invoke the optional ``close()`` hook, if the sink has one."""
-    close = getattr(sink, "close", None)
-    if close is not None:
-        close()
-
-
-class StatsSink:
-    """Record campaign yield statistics as traces stream past.
-
-    ``left_cloud`` decides whether a trace escaped the probing cloud's
-    address space (see ``CloudMembership``); omit it to count every trace
-    as staying inside.
-    """
-
-    def __init__(
-        self,
-        stats,  # CampaignStats; untyped to avoid a circular import
-        left_cloud: Optional[Callable[[Traceroute], bool]] = None,
-    ) -> None:
-        self.stats = stats
-        self.left_cloud = left_cloud
-
-    def consume(self, trace: Traceroute) -> None:
-        left = self.left_cloud(trace) if self.left_cloud is not None else False
-        self.stats.record(trace, left)
-
-
-class CollectorSink:
+class CollectorSink(EventSink):
     """Buffer every trace in order -- handy in tests and notebooks."""
 
     def __init__(self) -> None:
         self.traces: List[Traceroute] = []
 
-    def consume(self, trace: Traceroute) -> None:
+    def on_probe(self, trace: Traceroute) -> None:
         self.traces.append(trace)
 
 
-class NullSink:
+class NullSink(EventSink):
     """Discard every trace.
 
     Useful when a campaign is run only for its side effects -- warming a
     checkpoint journal, smoke-testing the executor under a fault plan --
     and the traces themselves are not needed.
     """
-
-    def consume(self, trace: Traceroute) -> None:
-        pass

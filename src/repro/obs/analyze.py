@@ -9,8 +9,8 @@ Consumes a saved trace (JSONL or Chrome JSON, see
   study / stage / campaign / shard / probe-batch hierarchy is obvious;
 * a **per-stage probe-yield funnel** -- every campaign span in start
   order with its expected vs. delivered vs. lost probes, retries, and
-  quarantines, the same numbers ``CampaignProgress`` tracked live,
-  rebuilt purely from the span stream.
+  quarantines -- the campaign record's final counts, rebuilt purely
+  from the span stream.
 
 Everything here is a pure function of the trace file; nothing reads
 clocks or the environment.
@@ -129,8 +129,8 @@ def render_self_time(records: Sequence[SpanRecord], top_n: int = 15) -> str:
 class CampaignRow:
     """One campaign reconstructed from its span counters.
 
-    A thin view over the span stream: the same numbers
-    ``CampaignProgress`` tracked live, recovered offline.
+    A thin view over the span stream: the campaign record's final
+    counts, recovered offline.
     """
 
     label: str

@@ -210,16 +210,26 @@ def test_adaptive_digest_stable_across_workers(
     assert result.digest() == adaptive_rl.digest()
 
 
+def _poisoned_config(golden, **overrides):
+    """Shard 0 of every campaign never succeeds and is quarantined."""
+    return _adaptive_config(
+        golden,
+        fault_plan=FaultPlan(poison_shards=(0,)),
+        max_retries=0,
+        retry_backoff_s=0.0,
+    ).replace(**overrides)
+
+
+def _completeness_line(text, label):
+    prefix = f"  {label}: completeness "
+    return next(line for line in text.splitlines() if line.startswith(prefix))
+
+
+INCOMPLETE = "WARNING: one or more campaigns are incomplete"
+
+
 def test_quarantine_losses_heal_through_recovery(golden, tiny_world):
-    result = AmazonPeeringStudy(
-        tiny_world,
-        _adaptive_config(
-            golden,
-            fault_plan=FaultPlan(poison_shards=(0,)),
-            max_retries=0,
-            retry_backoff_s=0.0,
-        ),
-    ).run()
+    result = AmazonPeeringStudy(tiny_world, _poisoned_config(golden)).run()
     report = result.resilience
     assert report is not None
     assert report.quarantine_lost > 0
@@ -227,6 +237,55 @@ def test_quarantine_losses_heal_through_recovery(golden, tiny_world):
     assert result.round1_stats.lost_probes == 0
     assert result.round1_stats.completeness == 1.0
     assert result.round2_stats.lost_probes == 0
+    # The report reads the records recovery healed: both rounds are
+    # whole again, though each had a shard quarantined.
+    text = render_report(result)
+    for label in ("round1", "round2"):
+        line = _completeness_line(text, label)
+        assert "completeness 100.0%" in line
+        assert "1 quarantined shard(s)" in line
+    # Recovery never re-probes the VPI campaigns: they keep their loss.
+    vpi = [r for label, r in result.metrics.campaigns.items() if label.startswith("vpi:")]
+    assert len(vpi) == 4
+    for record in vpi:
+        assert record.lost_probes > 0
+        assert "completeness 100.0%" not in _completeness_line(text, record.label)
+    assert INCOMPLETE in text
+
+
+def test_quarantine_losses_heal_fully_without_vpi(golden, tiny_world):
+    result = AmazonPeeringStudy(
+        tiny_world, _poisoned_config(golden, run_vpi=False)
+    ).run()
+    assert result.metrics.total_quarantined == 2
+    assert not result.metrics.degraded
+    text = render_report(result)
+    for label in ("round1", "round2"):
+        assert "completeness 100.0%" in _completeness_line(text, label)
+    assert INCOMPLETE not in text
+
+
+def test_healed_quarantine_still_skips_stage_checkpoints(
+    golden, tiny_world, tmp_path
+):
+    """No stage computed after a quarantine in this run is checkpointed.
+
+    Recovery heals the probes, but not what the quarantine did to the
+    run: the governor's ledger folded it into breaker state, and
+    transport faults are outside the stage fingerprint, so a resume
+    must recompute those stages rather than trust them.
+    """
+    checkpoint_dir = tmp_path / "ckpt"
+    result = AmazonPeeringStudy(
+        tiny_world,
+        _poisoned_config(
+            golden, run_vpi=False, checkpoint_dir=str(checkpoint_dir)
+        ),
+    ).run()
+    assert result.round1_stats.completeness == 1.0
+    assert not result.metrics.degraded
+    saved = sorted(p.name for p in checkpoint_dir.glob("stage_*.json"))
+    assert saved == ["stage_validate.json"]
 
 
 def test_adaptive_resume_replays_recovery_stage(golden, tiny_world, tmp_path):

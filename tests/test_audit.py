@@ -172,7 +172,7 @@ def test_live_schema_extraction_covers_all_surfaces():
         "version",
     ]
     store = schemas["stage_store"]
-    assert store["format_version"] == 1
+    assert store["format_version"] == 2
     assert store["stage_order"][0] == "validate"
     assert len(store["registered_dataclasses"]) == 24
     assert schemas["shard_wire"]["span_row_index"] == 4
@@ -193,10 +193,9 @@ def test_live_api_extraction_records_slim_sink_surface():
     api, findings = extract_api(str(REPO_ROOT))
     assert findings == []
     exported = api["measure"]["all"]
-    assert "as_event_sink" in exported
     assert "EventSink" in exported
-    assert "as_sink" not in exported
-    assert "FanoutSink" not in exported
+    for gone in ("as_sink", "FanoutSink", "as_event_sink", "ProbeSink", "StatsSink"):
+        assert gone not in exported
 
 
 def test_diff_locked_reports_per_surface():

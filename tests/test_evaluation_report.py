@@ -105,5 +105,5 @@ class TestStudyResultProperties:
 
     def test_runtime_sections_present(self, study_result):
         for key in ("round1", "round2", "heuristics", "alias", "pinning"):
-            assert key in study_result.runtime_seconds
-            assert study_result.runtime_seconds[key] >= 0
+            assert key in study_result.metrics.stages
+            assert study_result.metrics.stages[key] >= 0

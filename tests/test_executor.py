@@ -1,17 +1,20 @@
-"""Sharded executor: partitioning, determinism, progress, stride edges."""
+"""Sharded executor: partitioning, determinism, the campaign record, stride edges."""
+
+import signal
 
 import pytest
 
 from repro.core.config import StudyConfig
 from repro.core.pipeline import AmazonPeeringStudy
+from repro.measure import executor as executor_mod
 from repro.measure.campaign import ProbeCampaign
 from repro.measure.executor import (
     default_shard_size,
     partition_targets,
     plan_shards,
 )
-from repro.measure.metrics import CampaignProgress
-from repro.measure.sink import CollectorSink
+from repro.measure.metrics import StudyMetrics
+from repro.measure.sink import CollectorSink, EventSink, NullSink
 from repro.measure.traceroute import TracerouteEngine
 
 
@@ -87,7 +90,7 @@ class TestExpansionStrideEdges:
         campaign = ProbeCampaign(tiny_world)
         region = tiny_world.region_names("amazon")[:1]
         targets = iter([p.network + 1 for p in tiny_world.sweep_slash24s[:5]])
-        stats = campaign.run(targets, lambda t: None, regions=region)
+        stats = campaign.run(targets, NullSink(), regions=region)
         assert stats.probes == 5
 
 
@@ -130,37 +133,60 @@ class TestExecutorDeterminism:
         assert sink.traces == []
 
 
+class _ShardLog(EventSink):
+    """Keeps ``(label, shard index, shard probes, record probes)`` per merge."""
+
+    def __init__(self):
+        self.seen = []
+
+    def on_shard_merged(self, record, timing):
+        self.seen.append((record.label, timing.index, timing.probes, record.probes))
+
+
 class TestProgress:
     def test_progress_counts_and_timings(self, tiny_world):
         campaign = ProbeCampaign(tiny_world, workers=2)
-        progress = CampaignProgress(label="test")
+        metrics = StudyMetrics()
         regions = tiny_world.region_names("amazon")[:2]
         targets = [p.network + 1 for p in tiny_world.sweep_slash24s[:10]]
-        campaign.run(targets, lambda t: None, regions=regions, progress=progress)
-        assert progress.probes == len(targets) * len(regions)
-        assert progress.expected_probes == progress.probes
-        assert progress.done_fraction == pytest.approx(1.0)
-        assert sum(progress.by_region.values()) == progress.probes
-        assert set(progress.by_region) == set(regions)
-        assert sum(t.probes for t in progress.shard_timings) == progress.probes
-        assert progress.probes_per_second > 0
-        assert progress.max_shard_seconds >= progress.mean_shard_seconds > 0
-        assert "test:" in progress.summary()
+        sink = _ShardLog()
+        stats = campaign.run(
+            targets, sink, regions=regions, checkpoint_label="test",
+            tracer=metrics.tracer,
+        )
+        assert stats.label == "test"
+        assert stats.probes == len(targets) * len(regions)
+        assert stats.expected_probes == stats.probes
+        assert stats.completeness == pytest.approx(1.0)
+        assert sum(stats.by_region.values()) == stats.probes
+        assert set(stats.by_region) == set(regions)
+        assert sum(probes for _, _, probes, _ in sink.seen) == stats.probes
+        metrics.campaigns[stats.label] = stats
+        assert metrics.campaign_summary("test").startswith(
+            f"test: {stats.probes} probes in "
+        )
+        span, latencies = metrics.campaign_clock("test")
+        assert span.duration > 0
+        assert int(span.counter("workers")) == 2
+        assert len(latencies) == len(sink.seen) == int(span.counter("shards"))
+        assert max(latencies) >= sum(latencies) / len(latencies) > 0
 
     def test_callback_fires_per_shard(self, tiny_world):
-        seen = []
-        progress = CampaignProgress(
-            label="cb", callback=lambda p, t: seen.append(t.index)
-        )
+        sink = _ShardLog()
         campaign = ProbeCampaign(tiny_world)
-        campaign.run(
+        stats = campaign.run(
             [p.network + 1 for p in tiny_world.sweep_slash24s[:4]],
-            lambda t: None,
+            sink,
             regions=tiny_world.region_names("amazon")[:1],
-            progress=progress,
+            checkpoint_label="cb",
         )
-        assert seen == [t.index for t in progress.shard_timings]
-        assert seen == sorted(seen)
+        indices = [index for _, index, _, _ in sink.seen]
+        assert indices == sorted(indices) and indices
+        assert {label for label, _, _, _ in sink.seen} == {"cb"}
+        # The event carries the live record: its count grows shard by shard.
+        running = [probes for _, _, _, probes in sink.seen]
+        assert running == sorted(running)
+        assert running[-1] == stats.probes
 
 
 class TestStudyDeterminism:
@@ -210,7 +236,21 @@ class TestStudyDeterminism:
         assert r.config.workers == 4
         assert r.config.run_vpi is False
         assert "round1" in r.metrics.stages
-        assert r.metrics.campaigns["round1"].workers == 4
-        # The legacy timers dict snapshots the metrics stage table
-        # (now folded from the span stream, so no longer the same object).
-        assert r.runtime_seconds == r.metrics.stages
+        assert r.metrics.campaigns["round1"] is r.round1_stats
+        span, _ = r.metrics.campaign_clock("round1")
+        assert int(span.counter("workers")) == 4
+
+
+def test_pool_workers_die_on_sigterm(tiny_world):
+    """A forked worker must not keep the parent's SIGTERM handler.
+
+    Under the CLI's study supervisor it would survive ``pool.terminate()``
+    and the pool's join at the end of every campaign could hang.
+    """
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+    try:
+        executor_mod._init_worker(tiny_world, "amazon", seed=1)
+        assert signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+        executor_mod._WORKER_STATE = None

@@ -16,9 +16,14 @@ import pytest
 
 from repro.measure.campaign import CampaignStats, CloudMembership, ProbeCampaign
 from repro.measure.checkpoint import CampaignCheckpoint, CheckpointStore
-from repro.measure.executor import RetryPolicy, ShardedExecutor, plan_shards
+from repro.measure.executor import (
+    RetryPolicy,
+    ShardedExecutor,
+    default_shard_size,
+    plan_shards,
+)
 from repro.measure.faults import FaultPlan, InjectedWorkerCrash
-from repro.measure.metrics import CampaignProgress
+from repro.measure.sink import CollectorSink
 from repro.measure.traceroute import TracerouteEngine
 
 
@@ -37,9 +42,9 @@ def _fingerprint(traces):
 
 
 def _run(world, targets, regions, workers=1, faults=None, retry=None,
-         engine=None, shard_size=None, progress=None,
+         engine=None, shard_size=None,
          checkpoint_store=None, label="campaign"):
-    """Run one campaign, returning (trace fingerprints, stats)."""
+    """Run one campaign, returning (trace fingerprints, its record)."""
     engine = engine or TracerouteEngine(world, faults=faults)
     executor = ShardedExecutor(
         world,
@@ -50,18 +55,22 @@ def _run(world, targets, regions, workers=1, faults=None, retry=None,
         faults=faults,
         retry=retry or RetryPolicy(backoff_base_s=0.0),
     )
-    traces = []
+    sink = CollectorSink()
     stats = CampaignStats()
     executor.run(
         targets,
-        traces.append,
+        sink,
         stats,
         regions=regions,
-        progress=progress,
         checkpoint_store=checkpoint_store,
         checkpoint_label=label,
     )
-    return _fingerprint(traces), stats
+    return _fingerprint(sink.traces), stats
+
+
+def _shard_count(targets, regions):
+    """Shards in a serial ``_run`` of ``regions x targets``."""
+    return len(plan_shards(regions, targets, default_shard_size(len(targets), 1)))
 
 
 @pytest.fixture(scope="module")
@@ -280,16 +289,14 @@ class TestExecutorResilience:
         clean_traces, clean_stats = _run(tiny_world, targets, regions)
         plan = FaultPlan(seed=5, crash_rate=0.5, crash_attempts=1)
         for workers in (1, 2):
-            progress = CampaignProgress(label="crashy")
             traces, stats = _run(
-                tiny_world, targets, regions, workers=workers,
-                faults=plan, progress=progress,
+                tiny_world, targets, regions, workers=workers, faults=plan,
             )
             assert traces == clean_traces
             assert stats == clean_stats
-            assert progress.failures, "the crash plan never fired"
-            assert not progress.quarantined
-            assert progress.completeness == 1.0
+            assert stats.failures, "the crash plan never fired"
+            assert not stats.quarantined
+            assert stats.completeness == 1.0
 
     def test_timeout_retries_inline_and_matches_clean(
         self, tiny_world, probe_space
@@ -300,29 +307,25 @@ class TestExecutorResilience:
         clean_traces, clean_stats = _run(
             tiny_world, targets, regions, shard_size=3
         )
-        progress = CampaignProgress(label="slow")
         traces, stats = _run(
             tiny_world, targets, regions, workers=2, shard_size=3,
             faults=FaultPlan(slow_rate=1.0, slow_seconds=0.25),
             retry=RetryPolicy(shard_timeout=0.05, max_retries=3,
                               backoff_base_s=0.0),
-            progress=progress,
         )
         assert traces == clean_traces
         assert stats == clean_stats
-        assert any(f.error == "shard timeout" for f in progress.failures)
+        assert stats.failures.get("timeout", 0) > 0
 
     def test_poisoned_shard_is_quarantined(self, tiny_world, probe_space):
         targets, regions = probe_space
         shard_size = 6
         shards = plan_shards(regions, targets, shard_size)
         poisoned = shards[1]
-        progress = CampaignProgress(label="poison")
         traces, stats = _run(
             tiny_world, targets, regions, shard_size=shard_size,
             faults=FaultPlan(poison_shards=(poisoned.index,)),
             retry=RetryPolicy(max_retries=1, backoff_base_s=0.0),
-            progress=progress,
         )
         clean_traces, _ = _run(
             tiny_world, targets, regions, shard_size=shard_size
@@ -334,9 +337,13 @@ class TestExecutorResilience:
         assert stats.completeness == pytest.approx(
             (len(clean_traces) - len(lost)) / len(clean_traces)
         )
-        assert [q.index for q in progress.quarantined] == [poisoned.index]
-        assert len(progress.failures) == 2  # first attempt + one retry
-        assert progress.completeness < 1.0
+        assert list(stats.quarantined) == [poisoned.index]
+        region, probes, error = stats.quarantined[poisoned.index]
+        assert (region, probes) == (poisoned.region, len(poisoned.targets))
+        assert error
+        assert stats.failed_attempts == 2  # first attempt + one retry
+        assert stats.retries == 1
+        assert stats.completeness < 1.0
 
     def test_no_backoff_sleep_on_quarantine_paths(
         self, tiny_world, probe_space, monkeypatch
@@ -391,15 +398,13 @@ class TestCheckpointResume:
             tiny_world, targets, regions,
             checkpoint_store=CheckpointStore(tmp_path, resume=False),
         )
-        progress = CampaignProgress(label="resumed")
         second, second_stats = _run(
             tiny_world, targets, regions,
             checkpoint_store=CheckpointStore(tmp_path, resume=True),
-            progress=progress,
         )
         assert second == first
         assert second_stats == first_stats
-        assert progress.resumed_shards == progress.shard_count
+        assert second_stats.resumed_shards == _shard_count(targets, regions)
 
     def test_killed_midway_then_resumed_matches_clean(
         self, tiny_world, probe_space, tmp_path
@@ -415,15 +420,13 @@ class TestCheckpointResume:
         lines = journal.read_text().splitlines()
         keep = 3
         journal.write_text("\n".join(lines[: 1 + keep]) + "\n")
-        progress = CampaignProgress(label="resumed")
         resumed, resumed_stats = _run(
             tiny_world, targets, regions,
             checkpoint_store=CheckpointStore(tmp_path, resume=True),
-            progress=progress,
         )
         assert resumed == clean
         assert resumed_stats == clean_stats
-        assert progress.resumed_shards == keep
+        assert resumed_stats.resumed_shards == keep
 
     def test_torn_final_line_is_dropped(self, tiny_world, probe_space, tmp_path):
         targets, regions = probe_space
@@ -434,15 +437,13 @@ class TestCheckpointResume:
         journal = tmp_path / "campaign.jsonl"
         with open(journal, "a") as fh:
             fh.write('{"shard": 99, "packed": [99, "u')  # died mid-write
-        progress = CampaignProgress(label="resumed")
-        resumed, _ = _run(
+        resumed, resumed_stats = _run(
             tiny_world, targets, regions,
             checkpoint_store=CheckpointStore(tmp_path, resume=True),
-            progress=progress,
         )
         clean, _ = _run(tiny_world, targets, regions)
         assert resumed == clean
-        assert progress.resumed_shards == progress.shard_count
+        assert resumed_stats.resumed_shards == _shard_count(targets, regions)
 
     def test_fingerprint_mismatch_discards_journal(self, tmp_path):
         path = tmp_path / "c.jsonl"

@@ -1,4 +1,4 @@
-"""ProbeSink protocol, sink composition, and the StudyConfig redesign."""
+"""The EventSink surface, sink composition, and the StudyConfig redesign."""
 
 import dataclasses
 
@@ -7,18 +7,8 @@ import pytest
 from repro.core.borders import BorderObservatory
 from repro.core.config import StudyConfig
 from repro.core.pipeline import AmazonPeeringStudy
-from repro.measure.campaign import CampaignStats, CloudMembership
-from repro.measure.sink import (
-    CallbackEvents,
-    CollectorSink,
-    EventSink,
-    FanoutEvents,
-    ProbeSink,
-    ProbeSinkEvents,
-    StatsSink,
-    as_event_sink,
-    close_sink,
-)
+from repro.measure.campaign import CampaignStats
+from repro.measure.sink import CollectorSink, EventSink, FanoutEvents, NullSink
 from repro.measure.traceroute import StopReason, TraceHop, Traceroute
 
 
@@ -32,70 +22,72 @@ def _trace(region="use1", dst=0x0B000001, completed=True):
     )
 
 
+class _Tagged(EventSink):
+    """Appends ``(event, tag)`` to a shared log for every event."""
+
+    def __init__(self, tag, log):
+        self.tag = tag
+        self.log = log
+
+    def on_probe(self, trace):
+        self.log.append(("probe", self.tag))
+
+    def on_span_closed(self, record):
+        self.log.append(("span", self.tag))
+
+    def close(self):
+        self.log.append(("close", self.tag))
+
+
 class TestAsEventSink:
-    def test_wraps_callable(self):
-        seen = []
-        sink = as_event_sink(seen.append)
-        assert isinstance(sink, CallbackEvents)
-        sink.on_probe(_trace())
-        assert len(seen) == 1
-
-    def test_wraps_probe_sink(self):
-        collector = CollectorSink()
-        sink = as_event_sink(collector)
-        assert isinstance(sink, ProbeSinkEvents)
-        sink.on_probe(_trace())
-        assert len(collector.traces) == 1
-
     def test_passes_event_sinks_through(self):
-        sink = FanoutEvents()
-        assert as_event_sink(sink) is sink
-
-    def test_rejects_non_sink(self):
-        with pytest.raises(TypeError):
-            as_event_sink(42)
+        a, b = CollectorSink(), NullSink()
+        assert FanoutEvents(a, b).sinks == [a, b]
 
     def test_deprecated_shims_are_gone(self):
+        import repro
+        import repro.measure.campaign as campaign_mod
+        import repro.measure.metrics as metrics_mod
         import repro.measure.sink as sink_mod
 
-        for name in ("as_sink", "FanoutSink", "CallbackSink"):
+        for name in (
+            "as_sink", "FanoutSink", "CallbackSink", "as_event_sink",
+            "close_sink", "ProbeSink", "SinkLike", "ProbeSinkEvents",
+            "CallbackEvents", "ProgressCallbackEvents", "StatsSink",
+        ):
             assert not hasattr(sink_mod, name)
+        for name in ("CampaignProgress", "ProgressCallback"):
+            assert not hasattr(metrics_mod, name)
+        assert not hasattr(campaign_mod, "TraceConsumer")
+        assert not hasattr(repro, "as_event_sink")
 
-    def test_observatory_is_a_probe_sink(self):
-        # Structural conformance is all that matters for the executor.
-        assert hasattr(BorderObservatory, "consume")
-        assert callable(BorderObservatory.consume)
-
-    def test_protocol_runtime_checkable(self):
-        assert isinstance(CollectorSink(), ProbeSink)
-        assert not isinstance(object(), ProbeSink)
+    def test_observatory_is_a_probe_sink(self, monkeypatch):
+        # on_probe must go through the ``ingest`` attribute, so wrapping
+        # ``BorderObservatory.ingest`` sees every campaign probe.
+        seen = []
+        monkeypatch.setattr(
+            BorderObservatory, "ingest", lambda self, trace: seen.append(trace)
+        )
+        observatory = BorderObservatory(annotator=None)
+        assert isinstance(observatory, EventSink)
+        trace = _trace()
+        observatory.on_probe(trace)
+        assert seen == [trace]
 
 
 class TestFanout:
     def test_fanout_delivers_in_order(self):
         order = []
-        fan = FanoutEvents(
-            lambda t: order.append("a"),
-            lambda t: order.append("b"),
-        )
+        fan = FanoutEvents(_Tagged("a", order), _Tagged("b", order))
         fan.on_probe(_trace())
         fan.on_probe(_trace())
-        assert order == ["a", "b", "a", "b"]
+        assert order == [("probe", "a"), ("probe", "b")] * 2
 
     def test_fanout_close_propagates(self):
-        class Closeable:
-            closed = False
-
-            def consume(self, trace):
-                pass
-
-            def close(self):
-                self.closed = True
-
-        closeable = Closeable()
-        fan = FanoutEvents(closeable, lambda t: None)
+        order = []
+        fan = FanoutEvents(_Tagged("a", order), CollectorSink())
         fan.close()
-        assert closeable.closed
+        assert order == [("close", "a")]
 
     def test_fanout_drops_none_entries(self):
         fan = FanoutEvents(None, CollectorSink(), None)
@@ -103,26 +95,6 @@ class TestFanout:
 
     def test_fanout_is_an_event_sink(self):
         assert isinstance(FanoutEvents(), EventSink)
-
-    def test_close_sink_tolerates_closeless_sinks(self):
-        close_sink(CollectorSink())  # no close(): must be a no-op
-
-
-class TestStatsSink:
-    def test_records_with_membership(self, tiny_world):
-        stats = CampaignStats()
-        membership = CloudMembership(tiny_world, "amazon")
-        sink = StatsSink(stats, membership.left_cloud)
-        sink.consume(_trace(completed=True))
-        sink.consume(_trace(completed=False))
-        assert stats.probes == 2
-        assert stats.completed == 1
-        assert stats.gap_limited == 1
-
-    def test_default_counts_nothing_as_left(self):
-        stats = CampaignStats()
-        StatsSink(stats).consume(_trace())
-        assert stats.left_cloud == 0
 
 
 class TestStudyConfig:
@@ -159,22 +131,6 @@ class TestStudyConfig:
 
 
 class TestLegacyKwargsShim:
-    def test_loose_kwargs_warn_and_apply(self, tiny_world):
-        with pytest.warns(DeprecationWarning):
-            study = AmazonPeeringStudy(
-                tiny_world, seed=5, expansion_stride=4, run_vpi=False
-            )
-        assert study.config == StudyConfig(
-            seed=5, expansion_stride=4, run_vpi=False
-        )
-        assert study.seed == 5
-        assert study.expansion_stride == 4
-
-    def test_positional_seed_still_works(self, tiny_world):
-        with pytest.warns(DeprecationWarning):
-            study = AmazonPeeringStudy(tiny_world, 5)
-        assert study.config.seed == 5
-
     def test_config_object_does_not_warn(self, tiny_world, recwarn):
         study = AmazonPeeringStudy(tiny_world, StudyConfig(seed=2))
         assert study.config.seed == 2
@@ -185,21 +141,16 @@ class TestLegacyKwargsShim:
     def test_unknown_kwarg_rejected(self, tiny_world):
         with pytest.raises(TypeError):
             AmazonPeeringStudy(tiny_world, frobnicate=True)
+        # StudyConfig fields are not keyword arguments of the study.
+        with pytest.raises(TypeError):
+            AmazonPeeringStudy(tiny_world, seed=5)
 
 
 # ----------------------------------------------------------------------
 # The unified EventSink surface (PR 6).
 # ----------------------------------------------------------------------
 
-from repro.measure.metrics import CampaignProgress, ShardTiming  # noqa: E402
-from repro.measure.sink import (  # noqa: E402
-    CallbackEvents,
-    EventSink,
-    FanoutEvents,
-    ProbeSinkEvents,
-    ProgressCallbackEvents,
-    as_event_sink,
-)
+from repro.measure.metrics import ShardTiming  # noqa: E402
 from repro.obs.span import SpanRecord  # noqa: E402
 
 
@@ -215,90 +166,30 @@ def _span_record(name="campaign:round1", category="campaign", **counters):
     )
 
 
+_TIMING = ShardTiming(index=0, region="use1", probes=4, seconds=0.1)
+
+
 class TestEventSink:
     def test_base_handlers_are_noops(self):
         sink = EventSink()
         sink.on_probe(_trace())
-        sink.on_shard_merged(CampaignProgress(label="x"), None)
+        sink.on_shard_merged(CampaignStats(label="x"), _TIMING)
         sink.on_span_closed(_span_record())
         sink.close()
 
-    def test_as_event_sink_coercions(self):
-        events = EventSink()
-        assert as_event_sink(events) is events
-        collector = CollectorSink()
-        wrapped = as_event_sink(collector)
-        assert isinstance(wrapped, ProbeSinkEvents)
-        wrapped.on_probe(_trace())
-        assert len(collector.traces) == 1
-        seen = []
-        as_event_sink(seen.append).on_probe(_trace())
-        assert len(seen) == 1
-        with pytest.raises(TypeError):
-            as_event_sink(42)
-
-    def test_as_event_sink_does_not_warn(self, recwarn):
-        as_event_sink(CollectorSink())
-        as_event_sink(lambda t: None)
-        assert not [
-            w for w in recwarn.list if w.category is DeprecationWarning
-        ]
-
-    def test_probe_sink_events_close_propagates(self):
-        class Closeable:
-            closed = False
-
-            def consume(self, trace):
-                pass
-
-            def close(self):
-                self.closed = True
-
-        closeable = Closeable()
-        ProbeSinkEvents(closeable).close()
-        assert closeable.closed
-
-    def test_progress_callback_adapter(self):
-        calls = []
-        sink = ProgressCallbackEvents(lambda p, t: calls.append((p, t)))
-        progress = CampaignProgress(label="round1")
-        timing = ShardTiming(index=0, region="use1", probes=4, seconds=0.1)
-        sink.on_shard_merged(progress, timing)
-        sink.on_probe(_trace())  # not its event; must be ignored
-        assert calls == [(progress, timing)]
-
     def test_fanout_events_drops_none_and_fans_out(self):
         order = []
-
-        class Spy(EventSink):
-            def __init__(self, tag):
-                self.tag = tag
-
-            def on_probe(self, trace):
-                order.append(("probe", self.tag))
-
-            def on_span_closed(self, record):
-                order.append(("span", self.tag))
-
-            def close(self):
-                order.append(("close", self.tag))
-
-        fan = FanoutEvents(Spy("a"), None, Spy("b"), lambda t: order.append(("cb", "c")))
-        assert len(fan.sinks) == 3
+        fan = FanoutEvents(_Tagged("a", order), None, _Tagged("b", order))
+        assert len(fan.sinks) == 2
         fan.on_probe(_trace())
         fan.on_span_closed(_span_record())
-        fan.on_shard_merged(CampaignProgress(label="x"), None)
+        fan.on_shard_merged(CampaignStats(label="x"), _TIMING)
         fan.close()
         assert order == [
-            ("probe", "a"), ("probe", "b"), ("cb", "c"),
+            ("probe", "a"), ("probe", "b"),
             ("span", "a"), ("span", "b"),
             ("close", "a"), ("close", "b"),
         ]
-
-    def test_callback_events_forwards(self):
-        seen = []
-        CallbackEvents(seen.append).on_probe(_trace())
-        assert len(seen) == 1
 
 
 class TestProgressPrinter:
@@ -309,19 +200,18 @@ class TestProgressPrinter:
 
         return _ProgressPrinter(min_interval=min_interval)
 
-    def _progress(self, probes, expected=100):
-        p = CampaignProgress(label="round1", workers=2)
-        p.start(expected_probes=expected, shards=10, workers=2)
-        p.probes = probes
-        return p
+    def _record(self, probes, expected=100):
+        return CampaignStats(
+            label="round1", expected_probes=expected, probes=probes
+        )
 
     def test_throttle_swallows_intermediate_lines(self, capsys):
         printer = self._printer(min_interval=3600.0)
-        printer.on_shard_merged(self._progress(10), None)   # first: printed
-        printer.on_shard_merged(self._progress(20), None)   # throttled
-        printer.on_shard_merged(self._progress(30), None)   # throttled
+        printer.on_shard_merged(self._record(10), _TIMING)   # first: printed
+        printer.on_shard_merged(self._record(20), _TIMING)   # throttled
+        printer.on_shard_merged(self._record(30), _TIMING)   # throttled
         err = capsys.readouterr().err
-        assert "10/100" in err
+        assert "round1: 10/100" in err
         assert "20/100" not in err and "30/100" not in err
 
     def test_campaign_close_always_flushes_final_state(self, capsys):
@@ -329,25 +219,28 @@ class TestProgressPrinter:
         # away (or the final shard quarantined, so on_shard_merged never
         # fires at 100%), the user's last line understated the campaign.
         printer = self._printer(min_interval=3600.0)
-        printer.on_shard_merged(self._progress(10), None)
-        printer.on_shard_merged(self._progress(90), None)   # throttled
+        printer.on_shard_merged(self._record(10), _TIMING)
+        printer.on_shard_merged(self._record(90), _TIMING)   # throttled
         printer.on_span_closed(
             _span_record(
                 probes=90, expected=100, lost=10, workers=2, retries=3,
             )
         )
         err = capsys.readouterr().err
-        assert "90/100" in err
-        assert "10 probe(s) lost to quarantine" in err
+        assert "round1: 90/100 probes (90%), 45/s, 2 worker(s)" in err
+        assert "10 probe(s) lost" in err
 
     def test_final_flush_dedupes_when_merge_already_printed(self, capsys):
+        # The merge that completes a campaign leaves the final line to
+        # the campaign span, so 100% prints exactly once.
         printer = self._printer(min_interval=0.0)
-        done = self._progress(100)
-        printer.on_shard_merged(done, None)
+        printer.on_shard_merged(self._record(50), _TIMING)
+        printer.on_shard_merged(self._record(100), _TIMING)
         printer.on_span_closed(
             _span_record(probes=100, expected=100, workers=2)
         )
         err = capsys.readouterr().err
+        assert "50/100" in err
         assert err.count("100/100") == 1
 
     def test_non_campaign_spans_are_ignored(self, capsys):

@@ -143,7 +143,6 @@ class TestMetricsAsSpanViews:
         assert set(metrics.stages) == spans
         for name, seconds in metrics.stages.items():
             assert seconds >= 0
-        assert result.runtime_seconds == metrics.stages
 
     def test_untraced_run_still_records_coarse_spans(self, trace_runs):
         result, _ = trace_runs[(1, False)]
@@ -155,13 +154,14 @@ class TestMetricsAsSpanViews:
 
     def test_campaign_progress_agrees_with_campaign_spans(self, trace_runs):
         result, _ = trace_runs[(4, True)]
-        records = result.metrics.tracer.records
-        for label, progress in result.metrics.campaigns.items():
-            span = next(
-                r
-                for r in records
-                if r.category == "campaign" and r.name == f"campaign:{label}"
-            )
-            assert int(span.counter("probes")) == progress.probes
-            assert int(span.counter("expected")) == progress.expected_probes
-            assert int(span.counter("workers")) == progress.workers
+        metrics = result.metrics
+        assert list(metrics.campaigns) == ["round1", "round2"]
+        assert metrics.campaigns["round1"] is result.round1_stats
+        for label, record in metrics.campaigns.items():
+            assert record.label == label
+            span, latencies = metrics.campaign_clock(label)
+            assert int(span.counter("probes")) == record.probes
+            assert int(span.counter("expected")) == record.expected_probes
+            assert int(span.counter("lost")) == record.lost_probes
+            assert int(span.counter("workers")) == 4
+            assert latencies and min(latencies) >= 0
