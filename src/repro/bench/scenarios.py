@@ -255,8 +255,6 @@ def _run_study(scenario: BenchScenario, params: BenchParams) -> BenchReport:
         "world_build_seconds": build_seconds,
         "total_seconds": total_seconds,
     }
-    for stage, seconds in sorted(result.metrics.stages.items()):
-        timings[f"stage/{stage}"] = seconds
     for family, seconds in sorted(
         self_time_by_family(result.metrics.tracer.records).items()
     ):

@@ -349,11 +349,10 @@ class AmazonPeeringStudy:
                     chain.advance(stage.name, digest)
                     supervisor.note_stage_complete(stage.name)
         except StudyInterrupted as exc:
-            # Graceful shutdown: make the on-disk state durable, leave a
-            # span explaining why the run stopped, and let the interrupt
-            # propagate (the CLI maps it to a distinct exit code).
-            if self.checkpoint_store is not None:
-                self.checkpoint_store.finalize_all()
+            # Graceful shutdown: leave a span explaining why the run
+            # stopped and let the interrupt propagate (the CLI maps it to
+            # a distinct exit code).  Each campaign fsynced its journal
+            # on the way out; each stage record was fsynced when saved.
             interrupt_span = tracer.span("study-interrupted", category="interrupt")
             interrupt_span.set(
                 "stages_completed", len(supervisor.stages_completed)

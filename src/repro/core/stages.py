@@ -16,11 +16,11 @@ Three pieces:
   at encode time and dict order is preserved, so the serialized bytes
   are deterministic and a decoded payload drives downstream stages to
   byte-identical outputs;
-* a :class:`StageStore`: one ``stage_<name>.json`` per stage, written
-  via temp-file + ``os.replace`` + fsync (a hard kill can never tear a
-  stage record) and validated on read (version, stage name, fingerprint,
-  and a sha256 over the payload bytes) -- anything suspect is recomputed
-  rather than trusted;
+* a :class:`StageStore`: one ``stage_<name>.json`` record file
+  (:mod:`repro.fsutil`) per stage, its header carrying the stage's chain
+  fingerprint and its one row the payload with a sha256 over the payload
+  bytes.  Each save is fsynced; a missing, torn, stale or tampered file
+  is recomputed rather than trusted;
 * a :class:`StageChain` of fingerprints: each stage's identity covers
   the study inputs (world scale/seed, study seed, strides, fault-plan
   signatures) *plus every upstream stage's payload digest*, so editing
@@ -35,7 +35,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from collections import Counter
 from pathlib import Path
 from typing import (
@@ -50,7 +49,7 @@ from typing import (
 )
 
 from repro.errors import DataError
-from repro.fsutil import fsync_dir, safe_name
+from repro.fsutil import RecordLog, read_records, safe_name
 from repro.core.aliasverify import AliasOwnership, VerificationResult
 from repro.core.anchors import AnchorSet
 from repro.core.borders import ObservatoryStats, SegmentRecord
@@ -70,10 +69,6 @@ from repro.measure.health import BreakerEvent, BreakerSnapshot
 if TYPE_CHECKING:
     from repro.core.config import StudyConfig
 
-#: Bumped whenever a registered dataclass changes shape, so a record
-#: written under the old shape is recomputed, not decoded with defaults.
-_FORMAT_VERSION = 2
-
 #: The fixed stage order of ``AmazonPeeringStudy.run`` (§3 through §7).
 STAGE_ORDER = (
     "validate",
@@ -92,7 +87,9 @@ STAGE_ORDER = (
 
 #: Every dataclass a stage payload may contain.  The codec refuses
 #: anything not listed here -- an unknown type in a payload is a bug,
-#: not something to pickle silently.
+#: not something to pickle silently.  Changing one's fields means
+#: bumping :data:`repro.fsutil.RECORD_FORMAT_VERSION`, so a record
+#: written under the old shape is recomputed, not decoded with defaults.
 _REGISTERED_TYPES: Tuple[Type[Any], ...] = (
     AliasOwnership,
     AnchorSet,
@@ -289,7 +286,7 @@ class StageChain:
 
 
 class StageStore:
-    """One atomically-written checkpoint file per pipeline stage.
+    """One checkpoint record file per pipeline stage.
 
     Files live beside the campaign shard journals under the study's
     checkpoint directory.  ``resume=False`` clears leftovers from a
@@ -300,7 +297,6 @@ class StageStore:
 
     def __init__(self, root: Union[str, Path], resume: bool = False) -> None:
         self.root = Path(root)
-        self.resume = resume
         self.root.mkdir(parents=True, exist_ok=True)
         if not resume:
             for path in self.root.glob("stage_*.json"):
@@ -313,24 +309,11 @@ class StageStore:
         self, stage: str, fingerprint: str
     ) -> Optional[Tuple[Dict[str, Any], str]]:
         """The decoded payload and its digest, or ``None`` to recompute."""
-        path = self._path(stage)
-        try:
-            text = path.read_text()
-        except OSError:
-            return None
-        try:
-            doc = json.loads(text)
-        except ValueError:
-            return None  # torn or truncated write
-        if (
-            not isinstance(doc, dict)
-            or doc.get("version") != _FORMAT_VERSION
-            or doc.get("stage") != stage
-            or doc.get("fingerprint") != fingerprint
-        ):
-            return None
-        encoded = doc.get("payload")
-        digest = doc.get("payload_digest")
+        rows = read_records(self._path(stage), fingerprint)
+        if len(rows) != 1:
+            return None  # missing, stale, or torn
+        encoded = rows[0].get("payload")
+        digest = rows[0].get("payload_digest")
         if not isinstance(digest, str) or payload_digest(encoded) != digest:
             return None  # bytes do not match their own checksum
         try:
@@ -342,27 +325,17 @@ class StageStore:
         return payload, digest
 
     def save(self, stage: str, fingerprint: str, payload: Dict[str, Any]) -> str:
-        """Atomically persist one stage's payload; returns its digest.
+        """Persist one stage's payload, fsynced; returns its digest.
 
-        temp-file + ``os.replace`` + fsync (file *and* directory): after
-        this returns, a hard kill leaves either the complete new record
-        or the previous state -- never a torn file.
+        The file is rewritten in place.  A hard kill mid-save leaves a
+        torn file, which :meth:`load` reads as "recompute"; the file it
+        replaced was never valid for this chain anyway -- its fingerprint
+        did not match, which is why the stage was recomputed, or
+        ``resume=False`` had already cleared it.
         """
         encoded = encode(payload)
         digest = payload_digest(encoded)
-        doc = {
-            "version": _FORMAT_VERSION,
-            "stage": stage,
-            "fingerprint": fingerprint,
-            "payload_digest": digest,
-            "payload": encoded,
-        }
-        path = self._path(stage)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        fsync_dir(self.root)
+        log = RecordLog(self._path(stage), fingerprint, resume=False)
+        log.append({"payload_digest": digest, "payload": encoded})
+        log.sync()
         return digest

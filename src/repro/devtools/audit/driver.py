@@ -279,8 +279,7 @@ def _load_lock(path: str) -> Optional[Any]:
 
 def _schema_surface_paths(package_root: str) -> Dict[str, str]:
     return {
-        "stage_store": f"{package_root}/core/stages.py",
-        "campaign_checkpoint": f"{package_root}/measure/checkpoint.py",
+        "record_log": f"{package_root}/core/stages.py",
         "shard_wire": f"{package_root}/measure/executor.py",
         "bench_report": f"{package_root}/bench/report.py",
         "span_record": f"{package_root}/obs/span.py",

@@ -1,13 +1,13 @@
 """Pass 2: serialized surfaces against the committed ``schemas.lock.json``.
 
-Five formats cross a process or filesystem boundary and must survive a
-release without drifting, or crash-safe resume (PR 8) and bench
-regression gating (PR 7) silently break:
+Four formats cross a process or filesystem boundary and must survive a
+release without drifting, or crash-safe resume and bench regression
+gating silently break:
 
-* ``stage_store`` -- the StageStore tagged-JSON codec: format version,
-  the fixed stage order, the codec's document keys, and the ordered
-  fields of every registered payload dataclass;
-* ``campaign_checkpoint`` -- the shard journal's header and row keys;
+* ``record_log`` -- the on-disk checkpoint records (``fsutil``'s record
+  files, written by the shard journals and the stage store): format
+  version, the header, row and codec keys, the fixed stage order, and
+  the ordered fields of every registered stage-payload dataclass;
 * ``shard_wire`` -- the packed tuple workers send back (the exact
   ``_pack_result`` return expression, plus the index span rows ride
   at);
@@ -115,7 +115,7 @@ def _imported_from(tree: ast.Module) -> Dict[str, str]:
     return out
 
 
-def _dict_literal_keys(tree: ast.Module) -> List[List[str]]:
+def _dict_literal_keys(*trees: ast.Module) -> List[List[str]]:
     """Every all-string-key dict literal's key tuple, sorted and unique.
 
     A serialization module's write sites are dict literals; their key
@@ -123,7 +123,7 @@ def _dict_literal_keys(tree: ast.Module) -> List[List[str]]:
     skipped.
     """
     seen: Dict[Tuple[str, ...], None] = {}
-    for node in ast.walk(tree):
+    for node in (n for tree in trees for n in ast.walk(tree)):
         if not isinstance(node, ast.Dict) or len(node.keys) < 2:
             continue
         keys: List[str] = []
@@ -149,15 +149,20 @@ def _function_def(tree: ast.Module, name: str) -> Optional[ast.FunctionDef]:
 # ----------------------------------------------------------------------
 
 
-def _extract_stage_store(
+def _extract_record_log(
     root: str, package_root: str, findings: List[Finding]
 ) -> Optional[Dict[str, Any]]:
+    fsutil_rel = f"{package_root}/fsutil.py"
     rel = f"{package_root}/core/stages.py"
-    tree, failure = _parse_module(root, rel)
-    if tree is None:
-        if failure is not None:
-            findings.append(failure)
-        return None
+    trees: Dict[str, ast.Module] = {}
+    for path in (fsutil_rel, f"{package_root}/measure/checkpoint.py", rel):
+        tree, failure = _parse_module(root, path)
+        if tree is None:
+            if failure is not None:
+                findings.append(failure)
+            return None
+        trees[path] = tree
+    tree = trees[rel]
     # _REGISTERED_TYPES is a tuple of *names*; pull the identifier list
     # straight from the AST.
     names: List[str] = []
@@ -217,25 +222,13 @@ def _extract_stage_store(
             continue
         dataclasses[name] = _dataclass_fields(cls)
     return {
-        "format_version": _assigned_constant(tree, "_FORMAT_VERSION"),
+        "format_version": _assigned_constant(
+            trees[fsutil_rel], "RECORD_FORMAT_VERSION"
+        ),
+        # header, journal-row, stage-row and codec keys
+        "record_keys": _dict_literal_keys(*trees.values()),
         "stage_order": list(_assigned_constant(tree, "STAGE_ORDER") or ()),
-        "document_keys": _dict_literal_keys(tree),
         "registered_dataclasses": dataclasses,
-    }
-
-
-def _extract_campaign_checkpoint(
-    root: str, package_root: str, findings: List[Finding]
-) -> Optional[Dict[str, Any]]:
-    rel = f"{package_root}/measure/checkpoint.py"
-    tree, failure = _parse_module(root, rel)
-    if tree is None:
-        if failure is not None:
-            findings.append(failure)
-        return None
-    return {
-        "format_version": _assigned_constant(tree, "_FORMAT_VERSION"),
-        "record_keys": _dict_literal_keys(tree),
     }
 
 
@@ -332,8 +325,7 @@ def _extract_span_record(
 
 
 _EXTRACTORS = {
-    "stage_store": _extract_stage_store,
-    "campaign_checkpoint": _extract_campaign_checkpoint,
+    "record_log": _extract_record_log,
     "shard_wire": _extract_shard_wire,
     "bench_report": _extract_bench_report,
     "span_record": _extract_span_record,

@@ -14,7 +14,7 @@ classifies its failures instead of letting bare exceptions escape:
 * :class:`StudyInterrupted` -- cooperative cancellation (SIGINT /
   SIGTERM / a supervisor deadline).  Never swallowed by retry loops:
   every ``except`` in the executor re-raises it first, journals are
-  finalized, and the CLI exits with :data:`EXIT_INTERRUPTED` so
+  fsynced, and the CLI exits with :data:`EXIT_INTERRUPTED` so
   ``repro study --resume`` can continue where the run stopped.
 
 ``classify_error`` maps any exception onto its taxonomy category for
@@ -78,9 +78,10 @@ class StageError(ReproError):
 class StudyInterrupted(ReproError):
     """Cooperative cancellation: SIGINT/SIGTERM or a supervisor budget.
 
-    Raised only at safe points (between shards, between stages) so the
-    current journal record is never torn; the pipeline finalizes
-    checkpoints and emits a ``study-interrupted`` span on the way out.
+    Raised only at safe points (between shards, between stages) so no
+    journal row or stage record is torn; each campaign fsyncs its
+    journal and the pipeline emits a ``study-interrupted`` span on the
+    way out.
     """
 
     category = "interrupted"

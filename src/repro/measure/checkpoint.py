@@ -2,32 +2,30 @@
 
 A weeks-long sweep (§3) must survive the driver being killed.  The
 executor appends every completed shard -- in its compact wire format --
-to a JSON-lines journal as soon as it merges; a restarted run replays
-finished shards from disk and re-probes only the rest.  Because a shard's
+to a journal as soon as it merges; a restarted run replays finished
+shards from disk and re-probes only the rest.  Because a shard's
 traces are a pure function of ``(engine seed, cloud, region, dst)`` plus
 the observation-fault plan, the replayed stream is bit-identical to what
 a clean uninterrupted run would have produced.
 
-Layout: one ``<label>.jsonl`` file per campaign under the checkpoint
-directory.  The first line is a header carrying a *fingerprint* of the
-campaign identity (cloud, seed, regions, targets, shard size, and the
-observation-fault signature); every following line is one completed
-shard.  A journal whose fingerprint does not match the new run -- e.g.
-round-2 targets changed because round 1 found different CBIs -- is
-discarded rather than trusted.  A torn final line (the process died
-mid-write) is silently dropped.
+Layout: one ``<label>.jsonl`` record file (:mod:`repro.fsutil`) per
+campaign under the checkpoint directory.  Its header carries a
+*fingerprint* of the campaign identity (cloud, seed, regions, targets,
+shard size, and the observation-fault signature); every row is one
+completed shard, ``{"shard", "packed"}``, appended as it merges.  A
+journal whose fingerprint does not match the new run -- e.g. round-2
+targets changed because round 1 found different CBIs -- is discarded
+rather than trusted.  A torn final line (the process died mid-write) is
+cut before the resumed run appends.  The executor fsyncs the journal
+when its campaign exits, normally or by interrupt.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, Optional, Sequence, Union
 
-from repro.fsutil import fsync_dir, safe_name
-
-_FORMAT_VERSION = 1
+from repro.fsutil import RecordLog, safe_name
 
 
 class CampaignCheckpoint:
@@ -41,63 +39,14 @@ class CampaignCheckpoint:
     """
 
     def __init__(self, path: Union[str, Path], fingerprint: str, resume: bool = True) -> None:
-        self.path = Path(path)
-        self.fingerprint = fingerprint
-        self._shards: Dict[int, Sequence[Any]] = {}
-        self.stale = False  # an existing journal was discarded
-        if resume:
-            self._load()
-        elif self.path.exists():
-            self.path.unlink()
-        if not self._has_header():
-            self._write_header()
-
-    # ------------------------------------------------------------------
-
-    def _has_header(self) -> bool:
-        return self.path.exists() and self.path.stat().st_size > 0
-
-    def _write_header(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "w") as fh:
-            json.dump(
-                {"version": _FORMAT_VERSION, "fingerprint": self.fingerprint},
-                fh,
-            )
-            fh.write("\n")
-
-    def _load(self) -> None:
-        if not self.path.exists():
-            return
-        try:
-            lines = self.path.read_text().splitlines()
-        except OSError:
-            return
-        if not lines:
-            return
-        try:
-            header = json.loads(lines[0])
-        except ValueError:
-            header = None
-        if (
-            not isinstance(header, dict)
-            or header.get("version") != _FORMAT_VERSION
-            or header.get("fingerprint") != self.fingerprint
-        ):
-            # A different campaign (or format) wrote this journal: the
-            # stored shards would not match this run's plan.  Start over.
-            self.stale = True
-            self.path.unlink()
-            return
-        for line in lines[1:]:
-            try:
-                row = json.loads(line)
-            except ValueError:
-                break  # torn final write; everything before it is good
-            if isinstance(row, dict) and "shard" in row and "packed" in row:
-                self._shards[int(row["shard"])] = row["packed"]
-
-    # ------------------------------------------------------------------
+        self._log = RecordLog(path, fingerprint, resume=resume)
+        self.path = self._log.path
+        self.stale = self._log.stale  # an existing journal was discarded
+        self._shards: Dict[int, Sequence[Any]] = {
+            row["shard"]: row["packed"]
+            for row in self._log.rows
+            if "shard" in row and "packed" in row
+        }
 
     @property
     def completed_shards(self) -> int:
@@ -110,67 +59,25 @@ class CampaignCheckpoint:
         return self._shards.get(shard_index)
 
     def put(self, shard_index: int, packed: Sequence[Any]) -> None:
-        """Journal one completed shard (append + flush, torn-write safe)."""
+        """Journal one completed shard (one appended row)."""
         if shard_index in self._shards:
             return
-        with open(self.path, "a") as fh:
-            json.dump({"shard": shard_index, "packed": packed}, fh)
-            fh.write("\n")
-            fh.flush()
+        self._log.append({"shard": shard_index, "packed": packed})
         self._shards[shard_index] = packed
 
     def finalize(self) -> None:
-        """Compact the journal into one atomically-replaced, fsynced file.
-
-        The append path above is fast but a hard kill can still tear its
-        final line; the reader tolerates that, but once a campaign (or an
-        interrupted study) reaches a quiescent point we rewrite the whole
-        journal via temp-file + ``os.replace`` + fsync so the on-disk
-        state is durable and untorn.  Idempotent; shard order is sorted
-        so the finalized bytes are deterministic.
-        """
-        if not self.path.parent.exists():
-            return
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with open(tmp, "w") as fh:
-            json.dump(
-                {"version": _FORMAT_VERSION, "fingerprint": self.fingerprint},
-                fh,
-            )
-            fh.write("\n")
-            for shard_index in sorted(self._shards):
-                json.dump(
-                    {"shard": shard_index, "packed": self._shards[shard_index]},
-                    fh,
-                )
-                fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        fsync_dir(self.path.parent)
+        """Make every journalled shard durable: fsync the file and its directory."""
+        self._log.sync()
 
 
 class CheckpointStore:
-    """A directory of per-campaign journals for one study run.
-
-    The store tracks every journal it opened so an interrupt handler can
-    :meth:`finalize_all` -- flush and atomically rewrite each journal --
-    before the process exits.
-    """
+    """A directory of per-campaign journals for one study run."""
 
     def __init__(self, root: Union[str, Path], resume: bool = False) -> None:
         self.root = Path(root)
         self.resume = resume
         self.root.mkdir(parents=True, exist_ok=True)
-        self._open: List[CampaignCheckpoint] = []
 
     def campaign(self, label: str, fingerprint: str) -> CampaignCheckpoint:
         path = self.root / (safe_name(label, "campaign") + ".jsonl")
-        checkpoint = CampaignCheckpoint(path, fingerprint, resume=self.resume)
-        self._open.append(checkpoint)
-        return checkpoint
-
-    def finalize_all(self) -> None:
-        """Finalize every journal opened through this store (idempotent)."""
-        for checkpoint in self._open:
-            checkpoint.finalize()
+        return CampaignCheckpoint(path, fingerprint, resume=self.resume)

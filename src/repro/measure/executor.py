@@ -525,9 +525,8 @@ class ShardedExecutor:
                 campaign_span.set("deferred", stats.deferred_probes)
             campaign_span.close()
             if checkpoint is not None:
-                # Compact the append-mode journal into an atomically
-                # replaced, fsynced file -- runs on interrupts too, so a
-                # cancelled study leaves a durable, untorn journal behind.
+                # fsync the journal -- runs on interrupts too, so a
+                # cancelled study leaves a durable journal behind.
                 checkpoint.finalize()
             sink.close()
 

@@ -7,9 +7,10 @@ The executor already survives *shard* failures (retry -> quarantine);
   :meth:`request_cancel`) flips a flag that :meth:`poll` converts into
   :class:`~repro.errors.StudyInterrupted` at the next safe point: the
   executor polls between shard merges, the pipeline between stages, so
-  journals and stage checkpoints are always finalized before exit.  A
-  second signal restores the default handler and re-raises it, so a
-  stuck study can still be killed hard;
+  no journal row or stage record is left half-written, and each
+  campaign fsyncs its journal on the way out.  A second signal restores
+  the default handler and re-raises it, so a stuck study can still be
+  killed hard;
 * **deadline** -- an optional wall-clock budget for the whole study
   (:class:`~repro.errors.DeadlineExceeded`, a ``StudyInterrupted``
   subtype, so an over-deadline study is *resumable*, not failed);
@@ -183,8 +184,8 @@ class StudySupervisor:
         if self._cancel_reason is not None:
             # Second signal: the user really means it.  Restore the
             # previous disposition and re-deliver, which by default
-            # terminates immediately (resume still works -- journals are
-            # appended and stage files replaced atomically).
+            # terminates immediately (resume still works -- a torn
+            # journal tail is cut, a torn stage record recomputed).
             self._restore_handlers()
             signal.raise_signal(signum)
             return

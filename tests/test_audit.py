@@ -165,16 +165,18 @@ def test_live_schema_extraction_covers_all_surfaces():
     assert findings == []
     assert sorted(schemas) == [
         "bench_report",
-        "campaign_checkpoint",
+        "record_log",
         "shard_wire",
         "span_record",
-        "stage_store",
         "version",
     ]
-    store = schemas["stage_store"]
-    assert store["format_version"] == 2
-    assert store["stage_order"][0] == "validate"
-    assert len(store["registered_dataclasses"]) == 24
+    records = schemas["record_log"]
+    assert records["format_version"] == 3
+    assert ["version", "fingerprint"] in records["record_keys"]
+    assert ["shard", "packed"] in records["record_keys"]
+    assert ["payload_digest", "payload"] in records["record_keys"]
+    assert records["stage_order"][0] == "validate"
+    assert len(records["registered_dataclasses"]) == 24
     assert schemas["shard_wire"]["span_row_index"] == 4
     assert schemas["bench_report"]["schema"] == "repro-bench-v1"
     span_fields = [f["name"] for f in schemas["span_record"]["fields"]]

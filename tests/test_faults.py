@@ -445,6 +445,21 @@ class TestCheckpointResume:
         assert resumed == clean
         assert resumed_stats.resumed_shards == _shard_count(targets, regions)
 
+    def test_appends_after_a_torn_tail_survive(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        first = CampaignCheckpoint(path, fingerprint="f")
+        first.put(0, [0, "use1", 0.1, []])
+        first.put(1, [1, "use1", 0.1, []])
+        with open(path, "a") as fh:
+            fh.write('{"shard": 2, "packed": [2, "u')  # killed mid-write
+        # The resumed run journals shards 2 and 3, then is hard-killed
+        # again before finalize().
+        second = CampaignCheckpoint(path, fingerprint="f")
+        second.put(2, [2, "use1", 0.1, []])
+        second.put(3, [3, "use1", 0.1, []])
+        reopened = CampaignCheckpoint(path, fingerprint="f")
+        assert [reopened.has(i) for i in range(4)] == [True] * 4
+
     def test_fingerprint_mismatch_discards_journal(self, tmp_path):
         path = tmp_path / "c.jsonl"
         old = CampaignCheckpoint(path, fingerprint="aaaa")

@@ -187,9 +187,10 @@ class TestStageStore:
         store = StageStore(tmp_path)
         store.save("alias", "fp", {"n": 3})
         path = tmp_path / "stage_alias.json"
-        doc = json.loads(path.read_text())
-        doc["payload"] = encode({"n": 4})
-        path.write_text(json.dumps(doc))
+        header, row = path.read_text().splitlines()
+        tampered = json.loads(row)
+        tampered["payload"] = encode({"n": 4})
+        path.write_text(f"{header}\n{json.dumps(tampered)}\n")
         assert store.load("alias", "fp") is None
 
     def test_fresh_run_clears_stale_checkpoints(self, tmp_path):
@@ -357,6 +358,29 @@ class TestSalvage:
         assert result.round1_stats is not None
         assert len(result.table1) == 4
         assert result.vpi is None and result.grouping is None
+
+    def test_salvage_under_another_fingerprint_is_read_only(
+        self, tiny_world, tmp_path
+    ):
+        config = _config(checkpoint_dir=str(tmp_path))
+        supervisor = StudySupervisor(abort_after_stage="pinning")
+        with pytest.raises(StudyInterrupted):
+            AmazonPeeringStudy(
+                tiny_world, config=config, supervisor=supervisor
+            ).run()
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        other = config.replace(resume=True, expansion_stride=4)
+        _, recovered = AmazonPeeringStudy(tiny_world, config=other).salvage()
+        assert recovered == []
+        # Only a writer may discard a stale record file; salvage reads.
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        _, recovered = AmazonPeeringStudy(
+            tiny_world, config=config.replace(resume=True)
+        ).salvage()
+        assert recovered == [
+            "validate", "round1", "round2", "recovery",
+            "heuristics", "alias", "pinning",
+        ]
 
     def test_salvage_without_checkpoints_recovers_nothing(
         self, tiny_world, tmp_path
