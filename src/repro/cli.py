@@ -201,22 +201,19 @@ class _ProgressPrinter(EventSink):
     def __init__(self, min_interval: float = 0.5) -> None:
         self._min_interval = min_interval
         self._last_time = 0.0
-        #: campaign label -> when it started: its first merged shard
-        #: started with the campaign, give or take the merge.
-        self._started: Dict[str, float] = {}
 
     def on_shard_merged(
         self, record: CampaignStats, timing: ShardTiming
     ) -> None:
-        now = time.time()
-        started = self._started.setdefault(record.label, now - timing.seconds)
         merged = record.probes + record.lost_probes
         if merged >= record.expected_probes:
             return  # the campaign span's closing line reports the end
+        now = time.time()
         if now - self._last_time < self._min_interval:
             return
         self._last_time = now
-        rate = record.probes / (now - started) if now > started else 0.0
+        elapsed = timing.campaign_seconds
+        rate = record.probes / elapsed if elapsed > 0 else 0.0
         print(
             f"  {record.label}: {record.probes}/{record.expected_probes} "
             f"probes ({_percent(record.probes, record.expected_probes)}), "

@@ -62,6 +62,11 @@ class DeferredTarget:
     region: str
     dst: int
     cause: str
+    #: whether the salt-0 trace the merge saw completed.  Recovery
+    #: replays that baseline only when it can use it (see ``deliver``);
+    #: always ``False`` for a quarantined target, whose trace was never
+    #: observed and which never consults it.
+    baseline_completed: bool
 
 
 @dataclass(frozen=True)
@@ -120,6 +125,7 @@ class ProbeGovernor:
                     region=trace.region,
                     dst=trace.dst,
                     cause=CAUSE_BREAKER,
+                    baseline_completed=trace.completed,
                 )
             )
             self.deferred += 1
@@ -139,6 +145,7 @@ class ProbeGovernor:
                     region=region,
                     dst=dst,
                     cause=CAUSE_QUARANTINE,
+                    baseline_completed=False,
                 )
             )
         self.quarantined += len(targets)
@@ -232,15 +239,17 @@ def run_recovery(
         destination (the window landed on the tail), while the salt-0
         trace -- what the non-adaptive run records -- completed.
         Re-pacing must never cost coverage, so an incomplete salted
-        trace yields to a completed baseline.  Deterministic: the
-        baseline is a pure replay.
+        trace yields to a completed baseline.  The merge already saw
+        that baseline when the governor deferred it, so it is replayed
+        only when ``target.baseline_completed`` says it will be used.
+        Deterministic: the baseline is a pure replay.
         """
-        if target.cause == CAUSE_BREAKER and not trace.completed:
-            baseline = engine.trace(
-                target.cloud, target.region, target.dst, salt=0
-            )
-            if baseline.completed:
-                return baseline
+        if (
+            target.cause == CAUSE_BREAKER
+            and target.baseline_completed
+            and not trace.completed
+        ):
+            return engine.trace(target.cloud, target.region, target.dst, salt=0)
         return trace
 
     for round_index in range(1, max(0, rounds) + 1):

@@ -461,6 +461,7 @@ class ShardedExecutor:
         campaign_span.set("expected", expected)
         campaign_span.set("shards", len(shards))
         campaign_span.set("workers", self.workers)
+        started = time.perf_counter()
         try:
             if self.workers <= 1 or len(shards) <= 1:
                 self._merge(
@@ -471,6 +472,7 @@ class ShardedExecutor:
                     sink,
                     stats,
                     trc,
+                    started,
                     self.supervisor,
                     self.governor,
                 )
@@ -509,6 +511,7 @@ class ShardedExecutor:
                         sink,
                         stats,
                         trc,
+                        started,
                         self.supervisor,
                         self.governor,
                     )
@@ -709,6 +712,7 @@ class ShardedExecutor:
         events: EventSink,
         stats: "CampaignStats",
         tracer: TracerLike,
+        started: float,
         supervisor: Optional[StudySupervisor] = None,
         governor: Optional["ProbeGovernor"] = None,
     ) -> None:
@@ -719,7 +723,9 @@ class ShardedExecutor:
         path) are adopted under it, so worker time and parent time stay
         separately attributed.  Shard boundaries are the executor's safe
         interrupt points: the supervisor is polled before each shard, so
-        a cancelled study stops with every journal record intact.
+        a cancelled study stops with every journal record intact.  Each
+        merged shard's ``ShardTiming`` carries the seconds since
+        ``started``, the campaign's ``perf_counter`` start.
 
         When a governor is attached its admit/defer decisions happen
         *here*, on the merge stream: merge order is the serial order at
@@ -772,6 +778,7 @@ class ShardedExecutor:
                     region=result.region,
                     probes=len(result.items),
                     seconds=result.seconds,
+                    campaign_seconds=time.perf_counter() - started,
                 ),
             )
 

@@ -21,7 +21,9 @@ Two fault categories with very different determinism contracts:
   rate-limit windows.  They deterministically change what the probes
   *see* (that is the point), as a pure function of
   ``(fault seed, cloud, region, dst, ttl)`` -- so any worker count, retry
-  schedule, or checkpoint resume still reproduces the same traces.
+  schedule, or checkpoint resume still reproduces the same traces.  The
+  rate-limit window is drawn once per probe (``rate_limited_ttls``),
+  the loss once per responding hop outside it (``hop_suppressed``).
 
 Every decision is derived from ``random.Random(repr(key))`` -- stable
 across processes and platforms, independent of ``PYTHONHASHSEED``, and
@@ -165,15 +167,49 @@ class FaultPlan:
             )
         )
 
+    def rate_limited_ttls(
+        self, cloud: str, region: str, dst: int, salt: int = 0
+    ) -> range:
+        """The TTLs this probe's rate-limit window silences.
+
+        A pure function of ``(seed, cloud, region, dst, salt)``: one
+        keyed draw decides whether the probe hits a rate limiter, and a
+        second, only if it does, where the window opens.  A probe the
+        limiter spares gets an empty range.  The window belongs to the
+        probe, not the hop, so the traceroute engine draws it once per
+        probe and hands it to :meth:`hop_suppressed` for every hop.
+        """
+        if self.rate_limit_rate > 0.0:
+            extra: Tuple[int, ...] = (salt,) if salt else ()
+            if self._u("rlimit", cloud, region, dst, *extra) < self.rate_limit_rate:
+                start = 2 + int(
+                    self._u("rlimit-start", cloud, region, dst, *extra)
+                    * _WINDOW_SPREAD
+                )
+                return range(start, start + self.rate_limit_window)
+        return range(0)
+
     def hop_suppressed(
-        self, cloud: str, region: str, dst: int, ttl: int, salt: int = 0
+        self,
+        cloud: str,
+        region: str,
+        dst: int,
+        ttl: int,
+        salt: int = 0,
+        window: Optional[range] = None,
     ) -> bool:
         """Whether the fault plan silences this hop's response.
 
         A pure function of ``(seed, cloud, region, dst, ttl)`` -- the
         traceroute engine calls it *after* its own noise draws, so the
         main probe RNG stream is untouched and fault-free portions of a
-        trace stay identical to the clean run.
+        trace stay identical to the clean run.  A hop is silenced when
+        ``ttl`` falls in the probe's rate-limit window or its own keyed
+        loss draw fires; the loss is drawn only outside the window.
+
+        ``window`` is the probe's :meth:`rate_limited_ttls`, which the
+        engine draws once per probe; without it the window is derived
+        here, so the answer never depends on whether it was passed.
 
         ``salt`` re-keys only the fault draws (never the base noise):
         the adaptive recovery round re-probes a deferred target at
@@ -182,19 +218,13 @@ class FaultPlan:
         draw, so non-adaptive runs and checkpoint journals are
         unaffected.
         """
-        extra: Tuple[int, ...] = (salt,) if salt else ()
-        loss = self.region_loss.get(region, self.region_loss.get("*", 0.0))
-        if loss > 0.0 and self._u("loss", cloud, region, dst, ttl, *extra) < loss:
+        if window is None:
+            window = self.rate_limited_ttls(cloud, region, dst, salt)
+        if ttl in window:
             return True
-        if self.rate_limit_rate > 0.0:
-            if self._u("rlimit", cloud, region, dst, *extra) < self.rate_limit_rate:
-                start = 2 + int(
-                    self._u("rlimit-start", cloud, region, dst, *extra)
-                    * _WINDOW_SPREAD
-                )
-                if start <= ttl < start + self.rate_limit_window:
-                    return True
-        return False
+        loss = self.region_loss.get(region, self.region_loss.get("*", 0.0))
+        extra: Tuple[int, ...] = (salt,) if salt else ()
+        return loss > 0.0 and self._u("loss", cloud, region, dst, ttl, *extra) < loss
 
     # ------------------------------------------------------------------
 

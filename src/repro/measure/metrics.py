@@ -23,12 +23,17 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only (import cycle)
 
 @dataclass(frozen=True)
 class ShardTiming:
-    """Wall-clock of one executed shard, as observed by the worker."""
+    """Wall-clock of one merged shard and of its campaign so far."""
 
     index: int
     region: str
     probes: int
+    #: the shard's tracing time, as observed by the worker; a shard
+    #: replayed from a journal carries the run that traced it.
     seconds: float
+    #: this run's ``perf_counter`` seconds since its campaign started,
+    #: at the merge (0.0 when not known).
+    campaign_seconds: float = 0.0
 
 
 class StudyMetrics:

@@ -160,6 +160,12 @@ class TracerouteEngine:
         seen_ips: List[IPv4] = []
         loop_injected = rng.random() < cfg.loop_rate
         faults = self._probe_faults
+        # The rate-limit window is the probe's, not the hop's: draw it once.
+        window = (
+            faults.rate_limited_ttls(cloud, region, plan.dest_ip, salt)
+            if faults is not None
+            else None
+        )
 
         for hop in plan.hops:
             ttl += 1
@@ -177,7 +183,9 @@ class TracerouteEngine:
             if (
                 responds
                 and faults is not None
-                and faults.hop_suppressed(cloud, region, plan.dest_ip, ttl, salt)
+                and faults.hop_suppressed(
+                    cloud, region, plan.dest_ip, ttl, salt, window
+                )
             ):
                 responds = False
             if not responds:
@@ -204,7 +212,9 @@ class TracerouteEngine:
         if (
             dest_responds
             and faults is not None
-            and faults.hop_suppressed(cloud, region, plan.dest_ip, ttl + 1, salt)
+            and faults.hop_suppressed(
+                cloud, region, plan.dest_ip, ttl + 1, salt, window
+            )
         ):
             dest_responds = False
         if dest_responds:

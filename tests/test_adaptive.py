@@ -12,7 +12,10 @@ Pins the tentpole contracts:
   worker counts {1, 2, 4};
 * quarantine losses heal through the breaker recovery path;
 * stage-checkpoint resume restores governor state and replays the
-  recovery stage digest-identically.
+  recovery stage digest-identically;
+* a run aborted before recovery resumes from the round-2 record --
+  recovery queue included -- to the uninterrupted run's digest and
+  recovery report.
 """
 
 from __future__ import annotations
@@ -22,7 +25,16 @@ from pathlib import Path
 
 import pytest
 
-from repro import AmazonPeeringStudy, FaultPlan, StudyConfig, render_report
+from repro import (
+    AmazonPeeringStudy,
+    FaultPlan,
+    StudyConfig,
+    StudyInterrupted,
+    StudySupervisor,
+    WorldConfig,
+    build_world,
+    render_report,
+)
 from repro.measure.adapt import CAUSE_BREAKER, ProbeGovernor
 from repro.measure.health import BreakerState, HealthLedger, classify
 from repro.measure.traceroute import StopReason, TraceHop, Traceroute
@@ -309,6 +321,37 @@ def test_adaptive_resume_replays_recovery_stage(golden, tiny_world, tmp_path):
     assert resumed.resilience is not None
     assert resumed.resilience.recovered == first.resilience.recovered
     assert resumed.resilience.breakers == first.resilience.breakers
+
+
+def test_adaptive_run_aborted_before_recovery_resumes_identically(
+    golden, tiny_world, adaptive_rl, tmp_path
+):
+    """Recovery on resume runs from the queue the round-2 record holds.
+
+    Unlike a resume of a finished run, this one recomputes the recovery
+    stage, so every deferred target (``baseline_completed`` included)
+    is read back from disk before it is re-probed.
+    """
+    config = _adaptive_config(
+        golden, fault_plan=RL_PLAN, checkpoint_dir=str(tmp_path / "ckpt")
+    )
+    supervisor = StudySupervisor(abort_after_stage="round2")
+    with pytest.raises(StudyInterrupted):
+        AmazonPeeringStudy(tiny_world, config, supervisor=supervisor).run()
+    assert supervisor.stages_completed[-1] == "round2"
+
+    fresh_world = build_world(
+        WorldConfig(scale=golden["world"]["scale"], seed=golden["world"]["seed"])
+    )
+    resumed = AmazonPeeringStudy(fresh_world, config.replace(resume=True)).run()
+    resumed_stages = {
+        r.name
+        for r in resumed.metrics.tracer.records
+        if r.category == "stage" and r.counter("resumed")
+    }
+    assert resumed_stages == {"validate", "round1", "round2"}
+    assert resumed.digest() == adaptive_rl.digest()
+    assert resumed.resilience == adaptive_rl.resilience
 
 
 def test_adaptive_study_span_counters(golden, tiny_world):

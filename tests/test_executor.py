@@ -188,6 +188,26 @@ class TestProgress:
         assert running == sorted(running)
         assert running[-1] == stats.probes
 
+    def test_merges_carry_the_campaign_clock(self, tiny_world):
+        clocks = []
+
+        class _Clock(EventSink):
+            def on_shard_merged(self, record, timing):
+                clocks.append(timing.campaign_seconds)
+
+        metrics = StudyMetrics()
+        ProbeCampaign(tiny_world).run(
+            [p.network + 1 for p in tiny_world.sweep_slash24s[:4]],
+            _Clock(),
+            regions=tiny_world.region_names("amazon")[:2],
+            checkpoint_label="clock",
+            tracer=metrics.tracer,
+        )
+        span, _latencies = metrics.campaign_clock("clock")
+        assert len(clocks) == int(span.counter("shards")) >= 2
+        assert clocks == sorted(clocks)
+        assert 0 < clocks[0] and clocks[-1] <= span.duration
+
 
 class TestStudyDeterminism:
     """§ acceptance: identical StudyResult for any worker count."""

@@ -14,6 +14,11 @@ Every run here must reproduce that digest bit-for-bit:
   digest-stable across worker counts and shuffled lookup order while
   differing from the clean digest.
 
+The ``faulted`` keys pin the content of runs under observation faults
+(rate-limit windows plus per-hop loss), once non-adaptive and once with
+the adaptive control plane: no other test fixes *which* hops a fault
+plan silences, so a rewrite of the fault schedule is checked here.
+
 If an intentional change to the world model or inference shifts these
 outputs, regenerate the snapshot (the ``world``/``config`` keys in the
 JSON say exactly how to rebuild it) and account for the diff in review.
@@ -157,6 +162,17 @@ def test_quarantined_then_resumed_run_matches_golden(
     assert resumed.metrics.total_resumed > 0
     assert not resumed.metrics.degraded
     assert resumed.round1_stats.lost_probes == 0
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_observation_faulted_run_matches_golden(golden, golden_world, adaptive):
+    faulted = golden["faulted"]
+    overrides = {"fault_plan": FaultPlan(**faulted["fault_plan"])}
+    if adaptive:
+        overrides.update(adaptive=True, **faulted["adaptive"])
+    result = AmazonPeeringStudy(golden_world, _config(golden, **overrides)).run()
+    expected = faulted["adaptive_digest" if adaptive else "digest"]
+    assert result.digest() == expected
 
 
 # --- annotation-cache sharing ------------------------------------------

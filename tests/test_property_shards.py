@@ -3,8 +3,9 @@
 Hypothesis explores the input space the example-based executor tests
 cannot: arbitrary target counts, shard sizes, worker counts, and region
 lists -- asserting the invariants the deterministic merge relies on
-(exact order-preserving partitions, region-major contiguous indices) and
-that a ``FaultPlan`` is a pure function of its fields.
+(exact order-preserving partitions, region-major contiguous indices),
+that a ``FaultPlan`` is a pure function of its fields, and that its
+per-probe rate-limit window gives the per-hop schedule's answers.
 """
 
 from __future__ import annotations
@@ -187,6 +188,63 @@ def test_fault_plan_observation_schedule_deterministic(
     )
     if loss == 0.0 and rate_limit == 0.0:
         assert not first
+
+
+def _hop_suppressed_per_hop(plan, cloud, region, dst, ttl, salt):
+    """The per-hop fault schedule as first written: every draw per hop.
+
+    The oracle the per-probe window is checked against (DESIGN.md 6.3).
+    """
+    extra = (salt,) if salt else ()
+    loss = plan.region_loss.get(region, plan.region_loss.get("*", 0.0))
+    if loss > 0.0 and plan._u("loss", cloud, region, dst, ttl, *extra) < loss:
+        return True
+    if plan.rate_limit_rate > 0.0:
+        if plan._u("rlimit", cloud, region, dst, *extra) < plan.rate_limit_rate:
+            # 8 is the window spread: windows open in TTLs [2, 10).
+            start = 2 + int(plan._u("rlimit-start", cloud, region, dst, *extra) * 8)
+            if start <= ttl < start + plan.rate_limit_window:
+                return True
+    return False
+
+
+_FAULT_REGIONS = ["use1", "usw2", "euw1"]
+
+region_loss_st = st.one_of(
+    st.just({}),
+    st.builds(lambda loss: {"*": loss}, rate_st),
+    st.dictionaries(
+        st.sampled_from(_FAULT_REGIONS + ["*"]), rate_st, min_size=1
+    ),
+)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    region_loss=region_loss_st,
+    rate_limit=rate_st,
+    window=st.integers(min_value=1, max_value=6),
+    cloud=st.sampled_from(["amazon", "google", "microsoft"]),
+    region=st.sampled_from(_FAULT_REGIONS),
+    dst=st.integers(min_value=0, max_value=2**32 - 1),
+    ttl=st.integers(min_value=1, max_value=40),
+    salt=st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=200)
+def test_fault_schedule_per_probe_window_matches_per_hop_oracle(
+    seed, region_loss, rate_limit, window, cloud, region, dst, ttl, salt
+):
+    plan = FaultPlan(
+        seed=seed,
+        region_loss=region_loss,
+        rate_limit_rate=rate_limit,
+        rate_limit_window=window,
+    )
+    ttls = plan.rate_limited_ttls(cloud, region, dst, salt)
+    assert len(ttls) in (0, window)
+    expected = _hop_suppressed_per_hop(plan, cloud, region, dst, ttl, salt)
+    assert plan.hop_suppressed(cloud, region, dst, ttl, salt, ttls) == expected
+    assert plan.hop_suppressed(cloud, region, dst, ttl, salt) == expected
 
 
 @given(spec_seed=st.integers(min_value=0, max_value=2**16))

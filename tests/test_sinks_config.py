@@ -243,6 +243,23 @@ class TestProgressPrinter:
         assert "50/100" in err
         assert err.count("100/100") == 1
 
+    def test_rate_divides_by_this_runs_campaign_clock(self, capsys):
+        # On resume the first merges are journal replays: ``seconds`` is
+        # the tracing time of the run that wrote the journal, so a start
+        # guessed from it is wrong.  The campaign's own clock is not.
+        printer = self._printer(min_interval=0.0)
+        replayed = ShardTiming(
+            index=0, region="use1", probes=4, seconds=30.0, campaign_seconds=0.5
+        )
+        printer.on_shard_merged(self._record(40), replayed)
+        later = ShardTiming(
+            index=1, region="use1", probes=4, seconds=30.0, campaign_seconds=2.0
+        )
+        printer.on_shard_merged(self._record(60), later)
+        err = capsys.readouterr().err
+        assert "round1: 40/100 probes (40%), 80/s" in err
+        assert "round1: 60/100 probes (60%), 30/s" in err
+
     def test_non_campaign_spans_are_ignored(self, capsys):
         printer = self._printer(min_interval=0.0)
         printer.on_span_closed(_span_record(name="shard:3", category="shard"))
