@@ -8,7 +8,7 @@ D5 -- the CBI-as-destination hygiene filter.
 from repro.core.borders import BorderObservatory, DropReason
 from repro.core.crossval import cross_validate_pinning
 from repro.core.pinning import IterativePinner
-from repro.measure.campaign import ProbeCampaign
+from repro.measure.campaign import expansion_targets
 from conftest import show
 
 
@@ -111,5 +111,5 @@ def test_expansion_targets_cost(benchmark, bench_study):
             "paper: 15.6M targets x 15 regions, then full /24s around CBIs",
         ],
     )
-    benchmark(lambda: ProbeCampaign.expansion_targets(list(result.cbis)[:50]))
+    benchmark(lambda: expansion_targets(list(result.cbis)[:50]))
     assert r2 > 0

@@ -45,7 +45,6 @@ from repro.errors import (
     EXIT_INTERRUPTED,
     DataError,
     DeadlineExceeded,
-    HungShardError,
     ReproError,
     ShardTimeoutError,
     StageError,
@@ -68,7 +67,7 @@ from repro.obs import (
 from repro.world.build import WorldConfig, build_world
 from repro.world.model import World
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "AmazonPeeringStudy",
@@ -81,7 +80,6 @@ __all__ = [
     "EventSink",
     "FanoutEvents",
     "FaultPlan",
-    "HungShardError",
     "NULL_TRACER",
     "ReproError",
     "RetryPolicy",

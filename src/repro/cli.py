@@ -62,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "'crash=0.25,slow=0.1,slow-seconds=0.5,"
                              "loss=use1:0.05,rate-limit=0.2,seed=1'")
     parser.add_argument("--shard-timeout", type=float, default=None, metavar="S",
-                        help="seconds before a pooled shard attempt is "
-                             "abandoned and retried inline")
+                        help="seconds before a silent pooled shard attempt "
+                             "is abandoned and retried inline")
     parser.add_argument("--max-retries", type=int, default=2,
                         help="retries per shard before quarantine (default 2)")
     parser.add_argument("--checkpoint-dir", type=str, default=None, metavar="DIR",
@@ -82,11 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--retry-budget", type=int, default=None, metavar="N",
                         help="study-wide cap on shard retries across all "
                              "campaigns (per-shard --max-retries still applies)")
-    parser.add_argument("--hung-shard-after", type=float, default=None,
-                        metavar="S",
-                        help="declare a pooled shard hung after S seconds of "
-                             "silence and retry it inline (supervision "
-                             "horizon, distinct from --shard-timeout)")
     parser.add_argument("--abort-after-stage", type=str, default=None,
                         metavar="STAGE", choices=sorted(STAGE_ORDER),
                         help="chaos hook: request a graceful interrupt right "
@@ -135,10 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="load study configuration from a TOML file "
                              "(see StudyConfig.to_toml); explicit CLI flags "
                              "override the file's values")
-    parser.add_argument("--no-shared-annotation-cache", action="store_true",
-                        help="give every annotator a private cache instead of "
-                             "sharing one across the round-2 and VPI "
-                             "annotators (digest-identical either way)")
     parser.add_argument("--trace", action="store_true",
                         help="record fine-grained worker-side spans (probe "
                              "batches, fault delays); coarse spans are always "
@@ -173,7 +164,6 @@ def _config_defaults(config: StudyConfig) -> Dict[str, Any]:
         "resume": config.resume,
         "deadline": config.deadline_s,
         "retry_budget": config.retry_budget,
-        "hung_shard_after": config.hung_shard_after_s,
         "adaptive": config.adaptive,
         "breaker_threshold": config.breaker_threshold,
         "recovery_rounds": config.recovery_rounds,
@@ -181,7 +171,6 @@ def _config_defaults(config: StudyConfig) -> Dict[str, Any]:
             config.data_fault_plan.to_spec() if config.data_fault_plan else None
         ),
         "min_confidence": config.min_confidence,
-        "no_shared_annotation_cache": not config.shared_annotation_cache,
         "trace": config.trace,
         "trace_out": config.trace_out,
     }
@@ -328,13 +317,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             resume=args.resume or args.salvage,
             deadline_s=args.deadline,
             retry_budget=args.retry_budget,
-            hung_shard_after_s=args.hung_shard_after,
             adaptive=args.adaptive,
             breaker_threshold=args.breaker_threshold,
             recovery_rounds=args.recovery_rounds,
             data_fault_plan=data_fault_plan,
             min_confidence=args.min_confidence,
-            shared_annotation_cache=not args.no_shared_annotation_cache,
             retry_backoff_s=(
                 file_config.retry_backoff_s
                 if file_config is not None
@@ -359,7 +346,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     supervisor = StudySupervisor(
         deadline_s=config.deadline_s,
         retry_budget=config.retry_budget,
-        hung_shard_after_s=config.hung_shard_after_s,
         handle_signals=True,
         abort_after_stage=args.abort_after_stage,
         kill_after_stage=args.kill_after_stage,

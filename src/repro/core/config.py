@@ -5,15 +5,18 @@
 to share with worker processes and to record on the ``StudyResult`` for
 provenance) and carries every knob the end-to-end run honours --
 including the resilience surface: an optional
-:class:`~repro.measure.faults.FaultPlan`, per-shard timeout and retry
-bounds, and the checkpoint directory that makes a killed campaign
-resumable.
+:class:`~repro.measure.faults.FaultPlan` (the study's one fault plan,
+carried by its engine), the per-shard timeout (the one wait horizon for
+a pooled shard) and retry bounds, and the checkpoint directory that
+makes a killed campaign resumable.
 
 A config can also live in a TOML file (``repro run --config study.toml``,
 with CLI flags as overrides): :meth:`StudyConfig.from_file` /
 :meth:`StudyConfig.from_toml` read one, :meth:`StudyConfig.to_toml`
 writes one, and the pair round-trips every field -- fault plans travel as
-their compact ``parse()`` spec strings.
+their compact ``parse()`` spec strings.  A key that is not a field fails
+loudly ("unknown config key"), so a file that still sets a knob a later
+version removed must drop it.
 """
 
 from __future__ import annotations
@@ -50,9 +53,11 @@ class StudyConfig:
     workers: int = 1
 
     # --- resilience / chaos --------------------------------------------
-    #: deterministic fault schedule consulted by the engine and executor.
+    #: deterministic fault schedule, carried by the study's engine: its
+    #: observation side shapes traces, its transport side fires per shard.
     fault_plan: Optional[FaultPlan] = None
-    #: seconds before a pooled shard attempt is abandoned and retried.
+    #: seconds before a silent pooled shard attempt is abandoned and
+    #: retried inline (None = wait forever).
     shard_timeout: Optional[float] = None
     #: retries per shard before quarantine (0 = fail fast).
     max_retries: int = 2
@@ -82,10 +87,6 @@ class StudyConfig:
     #: study-wide cap on shard retries across all campaigns (None =
     #: unbounded; the per-shard ``max_retries`` always applies too).
     retry_budget: Optional[int] = None
-    #: seconds of silence after which a pooled shard is declared hung and
-    #: retried inline -- a supervision horizon, distinct from the
-    #: per-attempt ``shard_timeout`` retry knob.
-    hung_shard_after_s: Optional[float] = None
 
     # --- data quality ---------------------------------------------------
     #: deterministic dataset-degradation schedule (dirty BGP/WHOIS/
@@ -94,14 +95,6 @@ class StudyConfig:
     #: annotation-confidence floor below which CBIs, confirmed ABIs, and
     #: pins are flagged in the data-quality report (0 = no flagging).
     min_confidence: float = 0.0
-
-    # --- performance ----------------------------------------------------
-    #: share one read-only annotation cache (and interned annotations)
-    #: across the round-2 and per-cloud VPI annotators.  Annotation
-    #: content never depends on the annotator's home org, so this is
-    #: digest-neutral by contract (enforced by the golden-snapshot
-    #: tests); turn it off to give every annotator a private cache.
-    shared_annotation_cache: bool = True
 
     # --- observability --------------------------------------------------
     #: record fine-grained worker-side spans (probe batches, fault
@@ -142,10 +135,6 @@ class StudyConfig:
         if self.retry_budget is not None and self.retry_budget < 0:
             raise ValueError(
                 f"retry_budget must be >= 0, got {self.retry_budget}"
-            )
-        if self.hung_shard_after_s is not None and self.hung_shard_after_s <= 0:
-            raise ValueError(
-                f"hung_shard_after_s must be > 0, got {self.hung_shard_after_s}"
             )
         if not 0.0 <= self.min_confidence <= 1.0:
             raise ValueError(

@@ -10,8 +10,10 @@ Configuration lives in one frozen :class:`StudyConfig`.  With
 ``StudyConfig(workers=N)`` the probing campaigns run on a sharded
 ``multiprocessing`` pool and -- because traces are a pure function of
 ``(seed, cloud, region, dst)`` and shards merge in serial order -- the
-``StudyResult`` is identical for any worker count.  Each campaign keeps
-one :class:`~repro.measure.campaign.CampaignStats` record, registered on
+``StudyResult`` is identical for any worker count.  Every campaign of a
+run (round 1, round 2 and the VPI clouds) runs on one
+:class:`~repro.measure.executor.ShardedExecutor` and keeps one
+:class:`~repro.measure.campaign.CampaignStats` record, registered on
 ``result.metrics``; an optional :class:`~repro.measure.sink.EventSink`
 sees every probe, merged shard and closed span of the run.
 """
@@ -48,10 +50,10 @@ from repro.datasets.validate import DatasetValidationReport, validate_datasets
 from repro.datasets.whois import WhoisRegistry
 from repro.measure.adapt import ProbeGovernor, run_recovery
 from repro.measure.alias import AliasResolver
-from repro.measure.campaign import CampaignStats, ProbeCampaign
+from repro.measure.campaign import CampaignStats, expansion_targets, round1_targets
 from repro.measure.checkpoint import CheckpointStore
 from repro.measure.dnslookup import ReverseDNS
-from repro.measure.executor import RetryPolicy
+from repro.measure.executor import RetryPolicy, ShardedExecutor
 from repro.measure.health import HealthLedger
 from repro.measure.metrics import StudyMetrics
 from repro.measure.sink import EventSink, FanoutEvents
@@ -67,8 +69,8 @@ class _RunContext:
     """Mutable per-run state threaded through the stage graph.
 
     Holds everything a stage body needs beyond ``self``: the result under
-    construction, the metrics/tracer pair, the shared probing campaign,
-    and the event-stream helpers.  One context per ``run()`` (or
+    construction, the metrics/tracer pair, the executor every campaign
+    runs on, and the event-stream helpers.  One context per ``run()`` (or
     ``salvage()``) call, so concurrent runs never share state.
     """
 
@@ -76,16 +78,14 @@ class _RunContext:
         self,
         result: StudyResult,
         metrics: StudyMetrics,
-        worker_spans: bool,
-        campaign: ProbeCampaign,
+        executor: ShardedExecutor,
         events: Optional[EventSink],
         governor: Optional[ProbeGovernor] = None,
     ) -> None:
         self.result = result
         self.metrics = metrics
         self.tracer = metrics.tracer
-        self.worker_spans = worker_spans
-        self.campaign = campaign
+        self.executor = executor
         self.events = events
         #: adaptive control plane (None unless ``config.adaptive``).
         self.governor = governor
@@ -146,9 +146,8 @@ class AmazonPeeringStudy:
         self.bgp_r1 = snapshot_from_world(world, "r1", data_faults=data_faults)
         self.bgp_r2 = snapshot_from_world(world, "r2", data_faults=data_faults)
 
-        # Measurement plane.  The engine carries the observation side of
-        # the fault plan (loss, rate limits); the executor's retry policy
-        # and the transport side ride in through every ProbeCampaign.
+        # Measurement plane.  The engine carries the study's one fault
+        # plan: the executor reads its transport side from the engine.
         self.engine = TracerouteEngine(world, seed=seed, faults=config.fault_plan)
         self.retry_policy = RetryPolicy(
             shard_timeout=config.shard_timeout,
@@ -165,17 +164,16 @@ class AmazonPeeringStudy:
             if config.checkpoint_dir
             else None
         )
-        # The supervisor owns cancellation, the study deadline, the
-        # study-wide retry budget, and hung-shard detection.  An injected
-        # one (the CLI installs signal handlers on its own) wins; the
-        # default is built from the config's supervision knobs.
+        # The supervisor owns cancellation, the study deadline, and the
+        # study-wide retry budget.  An injected one (the CLI installs
+        # signal handlers on its own) wins; the default is built from
+        # the config's supervision knobs.
         self.supervisor = (
             supervisor
             if supervisor is not None
             else StudySupervisor(
                 deadline_s=config.deadline_s,
                 retry_budget=config.retry_budget,
-                hung_shard_after_s=config.hung_shard_after_s,
             )
         )
         self.pinger = Pinger(world, seed=seed)
@@ -185,13 +183,11 @@ class AmazonPeeringStudy:
 
         # Annotators per round and per probing cloud.  The round-2 and
         # per-cloud annotators read the same datasets (home_org never
-        # changes annotation content), so by default they share one
-        # read-only cache: an address annotated during expansion is
-        # never recomputed for any VPI cloud.  Round 1 reads a different
-        # snapshot and always keeps its own cache.
-        r2_cache = (
-            AnnotationCache() if config.shared_annotation_cache else None
-        )
+        # changes annotation content), so they share one read-only
+        # cache: an address annotated during expansion is never
+        # recomputed for any VPI cloud.  Round 1 reads a different
+        # snapshot and keeps its own cache.
+        r2_cache = AnnotationCache()
         self.annotator_r1 = HopAnnotator(self.bgp_r1, self.whois, self.as2org, self.ixps)
         self.annotator_r2 = HopAnnotator(
             self.bgp_r2, self.whois, self.as2org, self.ixps, cache=r2_cache
@@ -264,20 +260,20 @@ class AmazonPeeringStudy:
                 HealthLedger(threshold=self.config.breaker_threshold),
                 cloud="amazon",
             )
-        campaign = ProbeCampaign(
+        executor = ShardedExecutor(
             self.world,
             self.engine,
             workers=self.config.workers,
-            faults=self.config.fault_plan,
             retry=self.retry_policy,
             supervisor=self.supervisor,
-            governor=governor,
+            checkpoint_store=self.checkpoint_store,
+            tracer=metrics.tracer,
+            worker_spans=worker_spans,
         )
         return _RunContext(
             result=result,
             metrics=metrics,
-            worker_spans=worker_spans,
-            campaign=campaign,
+            executor=executor,
             events=self.events,
             governor=governor,
         )
@@ -502,11 +498,12 @@ class AmazonPeeringStudy:
 
     def _compute_round1(self, ctx: _RunContext) -> Dict[str, Any]:
         # §3-§4.1: round-1 sweep.
-        stats = ctx.campaign.run_round1(
+        stats = ctx.executor.run(
+            "amazon",
+            "round1",
+            round1_targets(self.world),
             ctx.campaign_sink(self.observatory),
-            checkpoint_store=self.checkpoint_store,
-            tracer=ctx.tracer,
-            worker_spans=ctx.worker_spans,
+            governor=ctx.governor,
         )
         ctx.metrics.campaigns[stats.label] = stats
         r1_abis = self.observatory.candidate_abis()
@@ -545,13 +542,12 @@ class AmazonPeeringStudy:
         # §4.2: expansion probing under the round-2 snapshot.
         r1_cbis = self.observatory.candidate_cbis()
         self.observatory.start_round("r2", self.annotator_r2)
-        stats = ctx.campaign.run_expansion(
-            r1_cbis,
+        stats = ctx.executor.run(
+            "amazon",
+            "round2",
+            expansion_targets(r1_cbis, self.config.expansion_stride),
             ctx.campaign_sink(self.observatory),
-            stride=self.config.expansion_stride,
-            checkpoint_store=self.checkpoint_store,
-            tracer=ctx.tracer,
-            worker_spans=ctx.worker_spans,
+            governor=ctx.governor,
         )
         ctx.metrics.campaigns[stats.label] = stats
         e_abis = self.observatory.candidate_abis()
@@ -606,7 +602,7 @@ class AmazonPeeringStudy:
             report = run_recovery(
                 ctx.governor,
                 self.engine,
-                ctx.campaign.membership,
+                ctx.executor.membership("amazon"),
                 stats_by_label,
                 events,
                 rounds=self.config.recovery_rounds,
@@ -747,25 +743,12 @@ class AmazonPeeringStudy:
     def _compute_vpi(self, ctx: _RunContext) -> Dict[str, Any]:
         # §7.1: VPI detection from the other clouds.
         result = ctx.result
-        detector = VPIDetector(
-            self.world,
-            self.cloud_annotators,
-            self.engine,
-            workers=self.config.workers,
-            faults=self.config.fault_plan,
-            retry=self.retry_policy,
-            checkpoint_store=self.checkpoint_store,
-            supervisor=self.supervisor,
-        )
+        detector = VPIDetector(self.cloud_annotators, ctx.executor)
         ixp_cbis = {
             cbi for cbi in result.cbis if self.annotator_r2.annotate(cbi).is_ixp
         }
         vpi = detector.detect(
-            result.cbis,
-            ixp_cbis,
-            self.observatory.discovery_dsts(),
-            tracer=ctx.tracer,
-            worker_spans=ctx.worker_spans,
+            result.cbis, ixp_cbis, self.observatory.discovery_dsts()
         )
         for stats in vpi.stats.values():
             ctx.metrics.campaigns[stats.label] = stats

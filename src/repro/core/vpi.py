@@ -6,8 +6,10 @@ such a port.  The detector therefore:
 
 1. builds a target pool from all identified non-IXP CBIs, each CBI's +1
    address, and the destinations of the traceroutes that discovered them;
-2. probes the pool from every region of Microsoft, Google, IBM and Oracle,
-   running the same §4 border inference on those traces;
+2. probes the pool from every region of Microsoft, Google, IBM and Oracle
+   on the study's one :class:`~repro.measure.executor.ShardedExecutor`
+   (campaign ``vpi:<cloud>``, no adaptive governor), running the same §4
+   border inference on those traces;
 3. intersects the CBI sets.
 
 The result is an explicit *lower bound*: single-cloud VPIs, ports with
@@ -17,19 +19,13 @@ per-cloud response addresses, and private-address VPIs all stay invisible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Set
+from typing import Dict, Iterable, Sequence, Set
 
 from repro.net.ip import IPv4
 from repro.core.annotate import HopAnnotator
 from repro.core.borders import BorderObservatory
-from repro.measure.campaign import CampaignStats, ProbeCampaign, vpi_target_pool
-from repro.measure.checkpoint import CheckpointStore
-from repro.measure.executor import RetryPolicy
-from repro.measure.faults import FaultPlan
-from repro.measure.supervise import StudySupervisor
-from repro.measure.traceroute import TracerouteEngine
-from repro.obs.span import TracerLike
-from repro.world.model import World
+from repro.measure.campaign import CampaignStats, vpi_target_pool
+from repro.measure.executor import ShardedExecutor
 
 #: Probing order fixed by the paper's Table 4.
 OTHER_CLOUD_ORDER = ("microsoft", "google", "ibm", "oracle")
@@ -69,33 +65,19 @@ class VPIDetector:
 
     def __init__(
         self,
-        world: World,
         annotators: Dict[str, HopAnnotator],
-        engine: Optional[TracerouteEngine] = None,
+        executor: ShardedExecutor,
         clouds: Sequence[str] = OTHER_CLOUD_ORDER,
-        workers: int = 1,
-        faults: Optional[FaultPlan] = None,
-        retry: Optional[RetryPolicy] = None,
-        checkpoint_store: Optional[CheckpointStore] = None,
-        supervisor: Optional[StudySupervisor] = None,
     ) -> None:
-        self.world = world
         self.annotators = annotators
-        self.engine = engine or TracerouteEngine(world, faults=faults)
+        self.executor = executor
         self.clouds = list(clouds)
-        self.workers = max(1, workers)
-        self.faults = faults if faults is not None else self.engine.faults
-        self.retry = retry
-        self.checkpoint_store = checkpoint_store
-        self.supervisor = supervisor
 
     def detect(
         self,
         amazon_cbis: Set[IPv4],
         ixp_cbis: Set[IPv4],
         discovery_dsts: Iterable[IPv4],
-        tracer: Optional[TracerLike] = None,
-        worker_spans: bool = False,
     ) -> VPIDetectionResult:
         result = VPIDetectionResult()
         non_ixp = sorted(amazon_cbis - ixp_cbis)
@@ -106,23 +88,7 @@ class VPIDetector:
         running: Set[IPv4] = set()
         for cloud in self.clouds:
             observatory = BorderObservatory(self.annotators[cloud])
-            campaign = ProbeCampaign(
-                self.world,
-                self.engine,
-                cloud=cloud,
-                workers=self.workers,
-                faults=self.faults,
-                retry=self.retry,
-                supervisor=self.supervisor,
-            )
-            stats = campaign.run(
-                pool,
-                observatory,
-                checkpoint_store=self.checkpoint_store,
-                checkpoint_label=f"vpi:{cloud}",
-                tracer=tracer,
-                worker_spans=worker_spans,
-            )
+            stats = self.executor.run(cloud, f"vpi:{cloud}", pool, observatory)
             other_cbis = observatory.candidate_cbis()
             overlap = set(amazon_cbis) & other_cbis
             result.pairwise[cloud] = overlap

@@ -755,7 +755,6 @@ _TAXONOMY_NAMES = frozenset(
         "StageError",
         "StudyInterrupted",
         "DeadlineExceeded",
-        "HungShardError",
         "ShardTimeoutError",
         "classify_error",
         "wrap_error",

@@ -4,8 +4,8 @@ Failures at campaign scale are routine, so every layer that can fail
 classifies its failures instead of letting bare exceptions escape:
 
 * :class:`TransportError` -- the measurement transport misbehaved (a
-  worker crashed, a shard timed out or hung, an injected transport
-  fault fired).  Retryable: the executor's degradation ladder is
+  worker crashed, a shard timed out, an injected transport fault
+  fired).  Retryable: the executor's degradation ladder is
   retry -> quarantine -> salvage.
 * :class:`DataError` -- a dataset or checkpoint record was malformed.
   Not retryable; the reader degrades (discards the record) instead.
@@ -35,7 +35,7 @@ class ReproError(Exception):
 
 
 class TransportError(ReproError):
-    """The measurement transport failed (crash, timeout, hung worker)."""
+    """The measurement transport failed (a crash or a timeout)."""
 
     category = "transport"
 
@@ -44,18 +44,6 @@ class ShardTimeoutError(TransportError):
     """A pooled shard attempt outlived ``RetryPolicy.shard_timeout``."""
 
     category = "timeout"
-
-
-class HungShardError(TransportError):
-    """A pooled shard outlived the supervisor's hung-shard horizon.
-
-    Distinct from :class:`ShardTimeoutError`: the per-shard timeout is a
-    retry-policy knob (how long one attempt may take), the hung horizon
-    is a supervision knob (how long before the study declares the worker
-    lost and stops trusting the pool for this shard).
-    """
-
-    category = "hung"
 
 
 class DataError(ReproError):

@@ -9,7 +9,8 @@ from repro.measure.alias import AliasResolver
 from repro.measure.campaign import (
     CampaignStats,
     CloudMembership,
-    ProbeCampaign,
+    expansion_targets,
+    round1_targets,
     vpi_target_pool,
 )
 from repro.measure.checkpoint import CampaignCheckpoint, CheckpointStore
@@ -46,7 +47,6 @@ __all__ = [
     "GAP_LIMIT",
     "InjectedWorkerCrash",
     "Pinger",
-    "ProbeCampaign",
     "PublicVantagePoint",
     "RetryPolicy",
     "Shard",
@@ -57,7 +57,9 @@ __all__ = [
     "TraceHop",
     "Traceroute",
     "TracerouteEngine",
+    "expansion_targets",
     "partition_targets",
     "plan_shards",
+    "round1_targets",
     "vpi_target_pool",
 ]

@@ -27,7 +27,7 @@ lost otherwise, exactly as today.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.measure.campaign import CampaignStats, CloudMembership
 from repro.measure.health import (
@@ -198,7 +198,7 @@ def run_recovery(
     stats_by_label: Mapping[str, CampaignStats],
     events: EventSink,
     rounds: int,
-    supervisor: Optional[StudySupervisor] = None,
+    supervisor: StudySupervisor,
     tracer: TracerLike = NULL_TRACER,
     trial_budget: int = TRIAL_BUDGET,
 ) -> RecoveryReport:
@@ -255,20 +255,18 @@ def run_recovery(
     for round_index in range(1, max(0, rounds) + 1):
         if not pending:
             break
-        if supervisor is not None:
-            supervisor.poll()
+        supervisor.poll()
         rounds_run += 1
         span = tracer.span(f"recovery:{round_index}", category="recovery")
         span.set("queued", len(pending))
         next_pending: List[DeferredTarget] = []
         for key in sorted({(t.cloud, t.region) for t in pending}):
-            if supervisor is not None:
-                supervisor.poll()
+            supervisor.poll()
             cloud, region = key
             queue = [t for t in pending if (t.cloud, t.region) == key]
             breaker = governor.ledger.breaker(cloud, region)
             if breaker.state == BreakerState.OPEN:
-                if supervisor is not None and not supervisor.consume_retry():
+                if not supervisor.consume_retry():
                     # Retry budget spent: leave this region for a later
                     # round (or the salt-0 fallback) instead of probing.
                     next_pending.extend(queue)

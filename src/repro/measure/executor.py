@@ -37,6 +37,15 @@ observation-fault plan), none of this changes the merged stream: a run
 with injected crashes, timeouts, or a checkpoint resume produces the same
 results as a clean serial run once every shard eventually succeeds.
 
+One executor serves every campaign of a study run (round 1, round 2 and
+the VPI clouds).  It holds what they share -- world, engine, workers,
+retry policy, supervisor, checkpoint store and tracer -- and
+:meth:`ShardedExecutor.run` takes what differs: cloud, label, targets,
+sink and the optional adaptive governor.  The engine's
+:class:`~repro.measure.faults.FaultPlan` is the only fault plan: its
+observation side shapes trace content inside the engine, and its
+transport side (crash, slow, poison) fires in :func:`trace_shard`.
+
 Workers rebuild their ``TracerouteEngine`` from the pickled world plus the
 engine seed and fault plan in the pool initializer; no live engine state
 ever crosses the process boundary.
@@ -56,6 +65,7 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    Dict,
     Iterable,
     List,
     Optional,
@@ -64,12 +74,12 @@ from typing import (
 )
 
 from repro.errors import (
-    HungShardError,
     ReproError,
     ShardTimeoutError,
     StudyInterrupted,
     wrap_error,
 )
+from repro.measure.campaign import CampaignStats, CloudMembership
 from repro.measure.checkpoint import CampaignCheckpoint, CheckpointStore
 from repro.measure.faults import FaultPlan
 from repro.measure.metrics import ShardTiming
@@ -85,7 +95,6 @@ if TYPE_CHECKING:
     from multiprocessing.pool import AsyncResult
 
     from repro.measure.adapt import ProbeGovernor
-    from repro.measure.campaign import CampaignStats, CloudMembership
 
 #: Target shards per worker per region; >1 keeps the pool load-balanced
 #: when shard runtimes are uneven without drowning in pickling overhead.
@@ -190,49 +199,34 @@ def plan_shards(
 # cross the process boundary.
 # ----------------------------------------------------------------------
 
-_WORKER_STATE: Optional[
-    Tuple[TracerouteEngine, "CloudMembership", str, Optional[FaultPlan], bool]
-] = None
+_WORKER_STATE: Optional[Tuple[TracerouteEngine, CloudMembership, str, bool]] = None
 
 
 def _init_worker(
     world: World,
     cloud: str,
     seed: int,
-    engine_faults: Optional[FaultPlan] = None,
-    transport_faults: Optional[FaultPlan] = None,
-    worker_spans: bool = False,
+    faults: Optional[FaultPlan],
+    worker_spans: bool,
 ) -> None:
-    from repro.measure.campaign import CloudMembership
-
     global _WORKER_STATE
     # A forked worker inherits the parent's signal handlers.  Under the
     # study supervisor's SIGTERM handler it would survive
     # ``pool.terminate()`` and hang the pool's join; cancelling is the
     # parent's job.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    # Observation faults belong to the engine (they shape trace content
-    # exactly as the parent's engine would); transport faults belong to
-    # the shard attempt.  Keeping them separate guarantees worker-built
-    # engines match the serial engine even when only one side is set.
-    engine = TracerouteEngine(world, seed=seed, faults=engine_faults)
-    _WORKER_STATE = (
-        engine,
-        CloudMembership(world, cloud),
-        cloud,
-        transport_faults,
-        worker_spans,
-    )
+    # The same plan the parent's engine carries, so worker-built engines
+    # shape traces and fire transport faults exactly as the parent would.
+    engine = TracerouteEngine(world, seed=seed, faults=faults)
+    _WORKER_STATE = (engine, CloudMembership(world, cloud), cloud, worker_spans)
 
 
 def _trace_shard_in_worker(shard: Shard, attempt: int = 0) -> Tuple[Any, ...]:
     assert _WORKER_STATE is not None, "pool initializer did not run"
-    engine, membership, cloud, faults, worker_spans = _WORKER_STATE
+    engine, membership, cloud, worker_spans = _WORKER_STATE
     if not worker_spans:
         return _pack_result(
-            trace_shard(
-                engine, membership, cloud, shard, faults=faults, attempt=attempt
-            )
+            trace_shard(engine, membership, cloud, shard, attempt=attempt)
         )
     # Worker processes cannot share the parent's tracer: record into a
     # local one, time the wire serialization too, and ship the packed
@@ -243,13 +237,7 @@ def _trace_shard_in_worker(shard: Shard, attempt: int = 0) -> Tuple[Any, ...]:
     tracer = Tracer()
     root = tracer.span(f"worker:{shard.index}", category="worker")
     result = trace_shard(
-        engine,
-        membership,
-        cloud,
-        shard,
-        faults=faults,
-        attempt=attempt,
-        tracer=tracer,
+        engine, membership, cloud, shard, attempt=attempt, tracer=tracer
     )
     root.set("probes", len(result.items))
     with tracer.span(f"pack:{shard.index}", category="pack"):
@@ -307,23 +295,24 @@ def _packed_spans(packed: Sequence[Any]) -> Optional[List[PackedSpan]]:
 
 def trace_shard(
     engine: TracerouteEngine,
-    membership: "CloudMembership",
+    membership: CloudMembership,
     cloud: str,
     shard: Shard,
-    faults: Optional[FaultPlan] = None,
     attempt: int = 0,
     tracer: TracerLike = NULL_TRACER,
 ) -> ShardResult:
     """Trace every target of ``shard``; shared by serial and pool paths.
 
-    Transport faults fire here -- an injected crash raises before any
-    tracing, a slow shard sleeps -- so serial runs, pooled first
-    attempts, and inline retries all see one fault schedule.
+    The transport side of ``engine.faults`` fires here -- an injected
+    crash raises before any tracing, a slow shard sleeps -- so serial
+    runs, pooled first attempts, and inline retries all see one fault
+    schedule.
 
     ``tracer`` attributes fault-realization delay and engine time
     (``probe-batch`` spans of :data:`PROBE_BATCH` targets); the default
     :data:`~repro.obs.span.NULL_TRACER` costs one no-op call per batch.
     """
+    faults = engine.faults
     if faults is not None:
         faults.raise_if_crashed(shard.index, attempt)
         delay = faults.slow_delay(shard.index)
@@ -370,94 +359,100 @@ class _ShardOutcome:
 
 
 class ShardedExecutor:
-    """Runs a campaign's probe matrix over a worker pool (or inline).
+    """Runs every campaign of a study over a worker pool (or inline).
 
     ``workers <= 1`` executes the same shard plan in-process, so the two
     paths share one code path for ordering, the campaign record, retries,
     and checkpoints -- the parallel run differs only in *where* a shard's
     first attempt is traced.
+
+    The supervisor defaults to a bare :class:`StudySupervisor`, which
+    has no deadline and no retry budget, so it only answers
+    cancellation.  ``tracer`` records a ``campaign:<label>`` span per
+    campaign with one ``shard`` span per merged shard;
+    ``worker_spans=True`` additionally traces inside shard attempts
+    (probe batches, fault delays, wire packing -- worker-side rows cross
+    the pool boundary on the wire tuple and are adopted under the
+    parent's shard span).  Tracing is digest-neutral: it reads
+    ``perf_counter`` only and never touches the merged stream.
     """
 
     def __init__(
         self,
         world: World,
         engine: TracerouteEngine,
-        membership: "CloudMembership",
-        cloud: str = "amazon",
+        *,
         workers: int = 1,
         shard_size: Optional[int] = None,
-        faults: Optional[FaultPlan] = None,
         retry: Optional[RetryPolicy] = None,
         supervisor: Optional[StudySupervisor] = None,
-        governor: Optional["ProbeGovernor"] = None,
+        checkpoint_store: Optional[CheckpointStore] = None,
+        tracer: TracerLike = NULL_TRACER,
+        worker_spans: bool = False,
     ) -> None:
         self.world = world
         self.engine = engine
-        self.membership = membership
-        self.cloud = cloud
         self.workers = max(1, workers)
         self.shard_size = shard_size
-        self.faults = faults
         self.retry = retry or RetryPolicy()
-        self.supervisor = supervisor
-        #: adaptive merge-time admit/defer decisions (None = admit all).
-        self.governor = governor
+        self.supervisor = supervisor if supervisor is not None else StudySupervisor()
+        self.checkpoint_store = checkpoint_store
+        self.tracer = tracer
+        self.worker_spans = worker_spans
+        self._memberships: Dict[str, CloudMembership] = {}
+
+    def membership(self, cloud: str) -> CloudMembership:
+        """The one :class:`CloudMembership` of ``cloud``, built on first use."""
+        found = self._memberships.get(cloud)
+        if found is None:
+            found = self._memberships[cloud] = CloudMembership(self.world, cloud)
+        return found
 
     # ------------------------------------------------------------------
 
     def run(
         self,
+        cloud: str,
+        label: str,
         targets: Iterable[IPv4],
         sink: EventSink,
-        stats: "CampaignStats",
-        regions: Sequence[str],
-        checkpoint_store: Optional[CheckpointStore] = None,
-        checkpoint_label: str = "campaign",
-        tracer: Optional[TracerLike] = None,
-        worker_spans: bool = False,
-    ) -> None:
-        """Trace ``regions x targets`` and stream merged results to ``sink``.
+        *,
+        regions: Optional[Sequence[str]] = None,
+        governor: Optional["ProbeGovernor"] = None,
+    ) -> CampaignStats:
+        """Trace ``regions x targets`` from ``cloud``, streaming to ``sink``.
 
-        Merged traces arrive at ``sink`` as ``on_probe`` events in serial
-        order, each merged shard fires ``on_shard_merged`` with ``stats``,
-        and the sink's ``close()`` fires after the last event.  ``stats``
-        is the campaign's record, labelled ``checkpoint_label`` and
-        updated in merge order.  With a ``checkpoint_store``, completed
-        shards are journalled under ``checkpoint_label`` and replayed on
-        the next run.
-
-        ``tracer`` records a ``campaign:<label>`` span with one ``shard``
-        span per merged shard; ``worker_spans=True`` additionally traces
-        inside shard attempts (probe batches, fault delays, wire packing
-        -- worker-side rows cross the pool boundary on the wire tuple and
-        are adopted under the parent's shard span).  Tracing is
-        digest-neutral: it reads ``perf_counter`` only and never touches
-        the merged stream.
+        ``targets`` may be any iterable; it is materialized exactly once.
+        ``regions`` defaults to every region of ``cloud``.  Merged traces
+        arrive at ``sink`` as ``on_probe`` events in serial order, each
+        merged shard fires ``on_shard_merged`` with the campaign's
+        record, and the sink's ``close()`` fires after the last event.
+        The returned :class:`CampaignStats` is that record, labelled
+        ``label`` and updated in merge order.  With a checkpoint store,
+        completed shards are journalled under ``label`` and replayed on
+        the next run.  A ``governor`` makes adaptive admit/defer
+        decisions on the merge stream.
         """
         target_list = (
             targets if isinstance(targets, (list, tuple)) else list(targets)
         )
-        trc: TracerLike = tracer if tracer is not None else NULL_TRACER
+        regions = list(regions or self.world.region_names(cloud))
         shard_size = self.shard_size or default_shard_size(
             len(target_list), self.workers
         )
         shards = plan_shards(regions, target_list, shard_size)
         checkpoint: Optional[CampaignCheckpoint] = None
-        if checkpoint_store is not None:
-            checkpoint = checkpoint_store.campaign(
-                checkpoint_label,
-                self._fingerprint(regions, target_list, shard_size),
+        if self.checkpoint_store is not None:
+            checkpoint = self.checkpoint_store.campaign(
+                label, self._fingerprint(cloud, regions, target_list, shard_size)
             )
         expected = len(target_list) * len(regions)
-        stats.label = checkpoint_label
-        stats.expected_probes += expected
-        if self.governor is not None:
+        stats = CampaignStats(label=label, expected_probes=expected)
+        if governor is not None:
             # Deferrals recorded during this campaign carry its label, so
             # the recovery round heals the right round's stats.
-            self.governor.begin_campaign(checkpoint_label)
-        campaign_span = trc.span(
-            f"campaign:{checkpoint_label}", category="campaign"
-        )
+            governor.begin_campaign(label)
+        campaign_span = self.tracer.span(f"campaign:{label}", category="campaign")
         campaign_span.set("expected", expected)
         campaign_span.set("shards", len(shards))
         campaign_span.set("workers", self.workers)
@@ -466,15 +461,11 @@ class ShardedExecutor:
             if self.workers <= 1 or len(shards) <= 1:
                 self._merge(
                     shards,
-                    lambda s: self._run_shard(
-                        s, None, checkpoint, stats, trc, worker_spans
-                    ),
+                    lambda s: self._run_shard(cloud, s, None, checkpoint, stats),
                     sink,
                     stats,
-                    trc,
                     started,
-                    self.supervisor,
-                    self.governor,
+                    governor,
                 )
             else:
                 ctx = _pool_context()
@@ -483,11 +474,10 @@ class ShardedExecutor:
                     initializer=_init_worker,
                     initargs=(
                         self.world,
-                        self.cloud,
+                        cloud,
                         self.engine.seed,
                         self.engine.faults,
-                        self.faults,
-                        worker_spans,
+                        self.worker_spans,
                     ),
                 )
                 try:
@@ -501,19 +491,12 @@ class ShardedExecutor:
                     self._merge(
                         shards,
                         lambda s: self._run_shard(
-                            s,
-                            pending.get(s.index),
-                            checkpoint,
-                            stats,
-                            trc,
-                            worker_spans,
+                            cloud, s, pending.get(s.index), checkpoint, stats
                         ),
                         sink,
                         stats,
-                        trc,
                         started,
-                        self.supervisor,
-                        self.governor,
+                        governor,
                     )
                 finally:
                     pool.terminate()
@@ -532,16 +515,18 @@ class ShardedExecutor:
                 # cancelled study leaves a durable journal behind.
                 checkpoint.finalize()
             sink.close()
+        return stats
 
     # ------------------------------------------------------------------
 
     def _fingerprint(
         self,
+        cloud: str,
         regions: Sequence[str],
         targets: Sequence[IPv4],
         shard_size: int,
     ) -> str:
-        """Identity of this campaign's shard plan and trace content.
+        """Identity of one campaign's shard plan and trace content.
 
         Transport faults are deliberately excluded (they never change a
         completed shard's traces); observation faults are included via
@@ -558,7 +543,7 @@ class ShardedExecutor:
             repr(
                 (
                     "campaign-v1",
-                    self.cloud,
+                    cloud,
                     self.engine.seed,
                     tuple(regions),
                     shard_size,
@@ -580,12 +565,11 @@ class ShardedExecutor:
 
     def _run_shard(
         self,
+        cloud: str,
         shard: Shard,
         handle: Optional["AsyncResult[Tuple[Any, ...]]"],
         checkpoint: Optional[CampaignCheckpoint],
-        stats: "CampaignStats",
-        tracer: TracerLike,
-        worker_spans: bool,
+        stats: CampaignStats,
     ) -> _ShardOutcome:
         """One shard through resume -> attempt -> retry -> quarantine.
 
@@ -601,7 +585,7 @@ class ShardedExecutor:
             if stored is not None:
                 stats.resumed_shards += 1
                 return _ShardOutcome(
-                    result=_unpack_result(stored, self.cloud),
+                    result=_unpack_result(stored, cloud),
                     attempts=0,
                     resumed=True,
                 )
@@ -610,8 +594,8 @@ class ShardedExecutor:
         while True:
             try:
                 if handle is not None and attempt == 0:
-                    packed = self._wait_for_shard(handle, shard)
-                    result = _unpack_result(packed, self.cloud)
+                    packed = self._wait_for_shard(handle)
+                    result = _unpack_result(packed, cloud)
                     worker_packed = _packed_spans(packed)
                 else:
                     # Inline attempts run under the currently-open shard
@@ -619,12 +603,11 @@ class ShardedExecutor:
                     # packing needed on this path.
                     result = trace_shard(
                         self.engine,
-                        self.membership,
-                        self.cloud,
+                        self.membership(cloud),
+                        cloud,
                         shard,
-                        faults=self.faults,
                         attempt=attempt,
-                        tracer=tracer if worker_spans else NULL_TRACER,
+                        tracer=self.tracer if self.worker_spans else NULL_TRACER,
                     )
                     worker_packed = None
             except StudyInterrupted:
@@ -641,10 +624,7 @@ class ShardedExecutor:
                         attempts=attempt,
                         error=_describe_error(failure),
                     )
-                if (
-                    self.supervisor is not None
-                    and not self.supervisor.consume_retry()
-                ):
+                if not self.supervisor.consume_retry():
                     # The study-wide retry budget is spent: degrade now
                     # instead of burning the deadline on a sick campaign.
                     return _ShardOutcome(
@@ -670,51 +650,37 @@ class ShardedExecutor:
             )
 
     def _wait_for_shard(
-        self,
-        handle: "AsyncResult[Tuple[Any, ...]]",
-        shard: Shard,
+        self, handle: "AsyncResult[Tuple[Any, ...]]"
     ) -> Tuple[Any, ...]:
         """Wait for a pooled first attempt, under supervision.
 
-        Without a supervisor this is the classic bounded ``get``.  With
-        one, the wait is chopped into short slices so cancellation and
-        the deadline are honoured mid-wait, and a shard that stays silent
-        past ``hung_shard_after_s`` raises :class:`HungShardError` --
-        the supervision-level "this worker is lost" verdict, as opposed
-        to the retry-level per-attempt ``shard_timeout``.
+        The wait is chopped into short slices so cancellation and the
+        deadline are honoured mid-wait.  A shard still silent after
+        ``RetryPolicy.shard_timeout`` raises :class:`ShardTimeoutError`,
+        and ``_run_shard`` retries it inline.
         """
-        supervisor = self.supervisor
-        if supervisor is None:
-            return handle.get(timeout=self.retry.shard_timeout)
-        hung_after = supervisor.hung_shard_after_s
+        timeout = self.retry.shard_timeout
         step = 0.05
         waited = 0.0
         while True:
-            supervisor.poll()
+            self.supervisor.poll()
             try:
                 return handle.get(timeout=step)
             except multiprocessing.TimeoutError:
                 waited += step
-                if hung_after is not None and waited >= hung_after:
-                    raise HungShardError(
-                        f"shard {shard.index} unresponsive for {waited:.1f}s"
-                    ) from None
-                timeout = self.retry.shard_timeout
                 if timeout is not None and waited >= timeout:
                     raise ShardTimeoutError("shard timeout") from None
 
     # ------------------------------------------------------------------
 
-    @staticmethod
     def _merge(
+        self,
         shards: Sequence[Shard],
         fetch: Callable[[Shard], _ShardOutcome],
         events: EventSink,
-        stats: "CampaignStats",
-        tracer: TracerLike,
+        stats: CampaignStats,
         started: float,
-        supervisor: Optional[StudySupervisor] = None,
-        governor: Optional["ProbeGovernor"] = None,
+        governor: Optional["ProbeGovernor"],
     ) -> None:
         """Consume shard results in submission order -- the serial order.
 
@@ -732,9 +698,9 @@ class ShardedExecutor:
         any worker count, so adaptation never makes the run depend on
         worker scheduling.
         """
+        tracer = self.tracer
         for shard in shards:
-            if supervisor is not None:
-                supervisor.poll()
+            self.supervisor.poll()
             span = tracer.span(f"shard:{shard.index}", category="shard")
             outcome = fetch(shard)
             result = outcome.result

@@ -5,10 +5,10 @@ regime where probe loss, ICMP rate-limiting, and worker/VM failures are
 the norm.  "Misleading Stars" further shows that unresponsive hops bias
 inferred topologies, so faults are a *fidelity* knob as much as a
 resilience one.  A :class:`FaultPlan` describes a reproducible chaos
-schedule that both the :class:`~repro.measure.executor.ShardedExecutor`
-(transport faults) and the
-:class:`~repro.measure.traceroute.TracerouteEngine` (observation faults)
-consult.
+schedule.  The :class:`~repro.measure.traceroute.TracerouteEngine`
+carries it and consults its observation faults; the
+:class:`~repro.measure.executor.ShardedExecutor` reads the transport
+faults from that same engine.
 
 Two fault categories with very different determinism contracts:
 
@@ -139,14 +139,6 @@ class FaultPlan:
     def affects_probes(self) -> bool:
         """True when the plan changes trace content (not just execution)."""
         return bool(self.region_loss) or self.rate_limit_rate > 0.0
-
-    @property
-    def affects_execution(self) -> bool:
-        return (
-            self.crash_rate > 0.0
-            or bool(self.poison_shards)
-            or (self.slow_rate > 0.0 and self.slow_seconds > 0.0)
-        )
 
     def probe_signature(self) -> str:
         """Identity of the observation-fault component.

@@ -44,7 +44,7 @@ Fold rules (DESIGN.md §6.6):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.measure.traceroute import Traceroute
@@ -332,7 +332,6 @@ class LedgerCounts:
     half_opens: int = 0
     closes: int = 0
     reopens: int = 0
-    regions_opened: List[str] = field(default_factory=list)
 
 
 class HealthLedger:
@@ -352,12 +351,6 @@ class HealthLedger:
             self._breakers[key] = breaker
         return breaker
 
-    def observe(self, trace: Traceroute) -> ProbeOutcome:
-        """Classify and fold one admitted trace; returns the outcome."""
-        outcome = classify(trace)
-        self.breaker(trace.cloud, trace.region).record(outcome)
-        return outcome
-
     def note_quarantine(self, cloud: str, region: str, probes: int) -> None:
         self.breaker(cloud, region).record_quarantine(probes)
 
@@ -366,12 +359,6 @@ class HealthLedger:
     def breakers(self) -> List[CircuitBreaker]:
         """Every breaker, in deterministic (cloud, region) order."""
         return [self._breakers[key] for key in sorted(self._breakers)]
-
-    def events(self) -> List[BreakerEvent]:
-        out: List[BreakerEvent] = []
-        for breaker in self.breakers():
-            out.extend(breaker.events)
-        return out
 
     def counts(self) -> LedgerCounts:
         counts = LedgerCounts()
@@ -382,7 +369,6 @@ class HealthLedger:
                         counts.reopens += 1
                     else:
                         counts.opens += 1
-                        counts.regions_opened.append(event.region)
                 elif event.to_state == BreakerState.HALF_OPEN:
                     counts.half_opens += 1
                 elif event.to_state == BreakerState.CLOSED:

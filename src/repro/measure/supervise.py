@@ -1,7 +1,7 @@
 """Study-level supervision: deadlines, budgets, and graceful cancellation.
 
 The executor already survives *shard* failures (retry -> quarantine);
-:class:`StudySupervisor` supervises the *study*.  It owns four concerns:
+:class:`StudySupervisor` supervises the *study*.  It owns three concerns:
 
 * **cancellation** -- SIGINT/SIGTERM (or an explicit
   :meth:`request_cancel`) flips a flag that :meth:`poll` converts into
@@ -17,11 +17,13 @@ The executor already survives *shard* failures (retry -> quarantine);
 * **retry budget** -- an optional study-wide cap on shard retries,
   independent of the per-shard ``max_retries``: once spent, further
   failures quarantine immediately instead of burning time on a campaign
-  that is clearly sick;
-* **hung-shard detection** -- a horizon after which a pooled shard that
-  has produced no result is declared lost
-  (:class:`~repro.errors.HungShardError`), distinct from the per-attempt
-  ``shard_timeout`` retry knob.
+  that is clearly sick.
+
+A pooled shard that stays silent is the executor's business, not the
+supervisor's: ``RetryPolicy.shard_timeout`` is the one wait horizon, and
+the executor polls the supervisor while it waits.  A bare
+``StudySupervisor()`` has no deadline and no budget, so it only answers
+cancellation; the executor uses one when it is given none.
 
 The supervisor is also the chaos hook for crash-safety tests and CI:
 ``abort_after_stage`` raises a graceful interrupt after a named stage
@@ -55,7 +57,6 @@ class StudySupervisor:
         self,
         deadline_s: Optional[float] = None,
         retry_budget: Optional[int] = None,
-        hung_shard_after_s: Optional[float] = None,
         handle_signals: bool = False,
         abort_after_stage: Optional[str] = None,
         kill_after_stage: Optional[str] = None,
@@ -63,7 +64,6 @@ class StudySupervisor:
     ) -> None:
         self.deadline_s = deadline_s
         self.retry_budget = retry_budget
-        self.hung_shard_after_s = hung_shard_after_s
         self.handle_signals = handle_signals
         self.abort_after_stage = abort_after_stage
         self.kill_after_stage = kill_after_stage

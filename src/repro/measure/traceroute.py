@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.net.ip import IPv4
 
@@ -230,12 +230,3 @@ class TracerouteEngine:
             ttl += 1
             hops.append(TraceHop(ttl=ttl, ip=None, rtt_ms=None))
         return Traceroute(cloud, region, plan.dest_ip, hops, StopReason.GAP_LIMIT)
-
-    # ------------------------------------------------------------------
-
-    def trace_many(
-        self, cloud: str, region: str, targets: Iterator[IPv4]
-    ) -> Iterator[Traceroute]:
-        """Stream traceroutes for a target iterator (memory-bounded)."""
-        for dst in targets:
-            yield self.trace(cloud, region, dst)

@@ -7,8 +7,9 @@ import pytest
 from repro.core.config import StudyConfig
 from repro.core.pipeline import AmazonPeeringStudy
 from repro.measure import executor as executor_mod
-from repro.measure.campaign import ProbeCampaign
+from repro.measure.campaign import expansion_targets
 from repro.measure.executor import (
+    ShardedExecutor,
     default_shard_size,
     partition_targets,
     plan_shards,
@@ -65,41 +66,43 @@ class TestExpansionStrideEdges:
     CBI = 0x0A000001  # 10.0.0.1
 
     def test_stride_one_is_exhaustive(self):
-        targets = ProbeCampaign.expansion_targets([self.CBI], stride=1)
+        targets = expansion_targets([self.CBI], stride=1)
         assert len(targets) == 253  # 254 hosts minus the CBI itself
         assert self.CBI not in targets
 
     def test_stride_four_subsamples(self):
-        targets = ProbeCampaign.expansion_targets([self.CBI], stride=4)
+        targets = expansion_targets([self.CBI], stride=4)
         expected = [0x0A000000 + off for off in range(1, 255, 4) if off != 1]
         assert targets == expected
 
     def test_stride_254_probes_only_dot1(self):
         # range(1, 255, 254) == [1]; the .1 is the CBI here, so nothing.
-        assert ProbeCampaign.expansion_targets([self.CBI], stride=254) == []
+        assert expansion_targets([self.CBI], stride=254) == []
         other = 0x0A000005
-        assert ProbeCampaign.expansion_targets([other], stride=254) == [
+        assert expansion_targets([other], stride=254) == [
             0x0A000001
         ]
 
     def test_stride_zero_rejected(self):
         with pytest.raises(ValueError):
-            ProbeCampaign.expansion_targets([self.CBI], stride=0)
+            expansion_targets([self.CBI], stride=0)
 
     def test_targets_iterable_consumed_once(self, tiny_world):
-        campaign = ProbeCampaign(tiny_world)
+        executor = ShardedExecutor(tiny_world, TracerouteEngine(tiny_world))
         region = tiny_world.region_names("amazon")[:1]
         targets = iter([p.network + 1 for p in tiny_world.sweep_slash24s[:5]])
-        stats = campaign.run(targets, NullSink(), regions=region)
+        stats = executor.run("amazon", "campaign", targets, NullSink(), regions=region)
         assert stats.probes == 5
 
 
 class TestExecutorDeterminism:
     def _run(self, world, workers):
         engine = TracerouteEngine(world, seed=1)
-        campaign = ProbeCampaign(world, engine, workers=workers)
+        executor = ShardedExecutor(world, engine, workers=workers)
         sink = CollectorSink()
-        stats = campaign.run(
+        stats = executor.run(
+            "amazon",
+            "campaign",
             [p.network + 1 for p in world.sweep_slash24s[:30]],
             sink,
             regions=world.region_names("amazon")[:3],
@@ -126,9 +129,9 @@ class TestExecutorDeterminism:
         assert forward == list(reversed(backward))
 
     def test_empty_target_list(self, tiny_world):
-        campaign = ProbeCampaign(tiny_world, workers=4)
+        executor = ShardedExecutor(tiny_world, TracerouteEngine(tiny_world), workers=4)
         sink = CollectorSink()
-        stats = campaign.run([], sink)
+        stats = executor.run("amazon", "campaign", [], sink)
         assert stats.probes == 0
         assert sink.traces == []
 
@@ -145,15 +148,15 @@ class _ShardLog(EventSink):
 
 class TestProgress:
     def test_progress_counts_and_timings(self, tiny_world):
-        campaign = ProbeCampaign(tiny_world, workers=2)
         metrics = StudyMetrics()
+        executor = ShardedExecutor(
+            tiny_world, TracerouteEngine(tiny_world), workers=2,
+            tracer=metrics.tracer,
+        )
         regions = tiny_world.region_names("amazon")[:2]
         targets = [p.network + 1 for p in tiny_world.sweep_slash24s[:10]]
         sink = _ShardLog()
-        stats = campaign.run(
-            targets, sink, regions=regions, checkpoint_label="test",
-            tracer=metrics.tracer,
-        )
+        stats = executor.run("amazon", "test", targets, sink, regions=regions)
         assert stats.label == "test"
         assert stats.probes == len(targets) * len(regions)
         assert stats.expected_probes == stats.probes
@@ -173,12 +176,13 @@ class TestProgress:
 
     def test_callback_fires_per_shard(self, tiny_world):
         sink = _ShardLog()
-        campaign = ProbeCampaign(tiny_world)
-        stats = campaign.run(
+        executor = ShardedExecutor(tiny_world, TracerouteEngine(tiny_world))
+        stats = executor.run(
+            "amazon",
+            "cb",
             [p.network + 1 for p in tiny_world.sweep_slash24s[:4]],
             sink,
             regions=tiny_world.region_names("amazon")[:1],
-            checkpoint_label="cb",
         )
         indices = [index for _, index, _, _ in sink.seen]
         assert indices == sorted(indices) and indices
@@ -196,12 +200,15 @@ class TestProgress:
                 clocks.append(timing.campaign_seconds)
 
         metrics = StudyMetrics()
-        ProbeCampaign(tiny_world).run(
+        executor = ShardedExecutor(
+            tiny_world, TracerouteEngine(tiny_world), tracer=metrics.tracer
+        )
+        executor.run(
+            "amazon",
+            "clock",
             [p.network + 1 for p in tiny_world.sweep_slash24s[:4]],
             _Clock(),
             regions=tiny_world.region_names("amazon")[:2],
-            checkpoint_label="clock",
-            tracer=metrics.tracer,
         )
         span, _latencies = metrics.campaign_clock("clock")
         assert len(clocks) == int(span.counter("shards")) >= 2
@@ -269,7 +276,7 @@ def test_pool_workers_die_on_sigterm(tiny_world):
     """
     previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
     try:
-        executor_mod._init_worker(tiny_world, "amazon", seed=1)
+        executor_mod._init_worker(tiny_world, "amazon", 1, None, False)
         assert signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
     finally:
         signal.signal(signal.SIGTERM, previous)

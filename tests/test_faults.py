@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.measure.campaign import CampaignStats, CloudMembership, ProbeCampaign
+from repro.measure.campaign import round1_targets
 from repro.measure.checkpoint import CampaignCheckpoint, CheckpointStore
 from repro.measure.executor import (
     RetryPolicy,
@@ -42,30 +42,26 @@ def _fingerprint(traces):
 
 
 def _run(world, targets, regions, workers=1, faults=None, retry=None,
-         engine=None, shard_size=None,
-         checkpoint_store=None, label="campaign"):
+         shard_size=None, checkpoint_store=None, label="campaign"):
     """Run one campaign, returning (trace fingerprints, its record)."""
-    engine = engine or TracerouteEngine(world, faults=faults)
     executor = ShardedExecutor(
         world,
-        engine,
-        CloudMembership(world, "amazon"),
+        TracerouteEngine(world, faults=faults),
         workers=workers,
         shard_size=shard_size,
-        faults=faults,
         retry=retry or RetryPolicy(backoff_base_s=0.0),
+        checkpoint_store=checkpoint_store,
     )
     sink = CollectorSink()
-    stats = CampaignStats()
-    executor.run(
-        targets,
-        sink,
-        stats,
-        regions=regions,
-        checkpoint_store=checkpoint_store,
-        checkpoint_label=label,
-    )
+    stats = executor.run("amazon", label, targets, sink, regions=regions)
     return _fingerprint(sink.traces), stats
+
+
+def _journal_fingerprint(world, probe_space, faults):
+    """The journal fingerprint of ``probe_space`` at shard size 4."""
+    targets, regions = probe_space
+    executor = ShardedExecutor(world, TracerouteEngine(world, faults=faults))
+    return executor._fingerprint("amazon", regions, targets, 4)
 
 
 def _shard_count(targets, regions):
@@ -76,9 +72,8 @@ def _shard_count(targets, regions):
 @pytest.fixture(scope="module")
 def probe_space(tiny_world):
     """A small but multi-shard campaign: 2 regions x 12 targets."""
-    campaign = ProbeCampaign(tiny_world)
-    targets = list(campaign.round1_targets())[:12]
-    regions = campaign.regions[:2]
+    targets = round1_targets(tiny_world)[:12]
+    regions = tiny_world.region_names("amazon")[:2]
     return targets, regions
 
 
@@ -156,10 +151,10 @@ class TestFaultPlan:
     def test_affects_flags_and_signature(self):
         transport = FaultPlan(crash_rate=0.5, slow_rate=0.2, slow_seconds=1.0,
                               poison_shards=(1,))
-        assert transport.affects_execution and not transport.affects_probes
+        assert not transport.affects_probes
         assert transport.probe_signature() == "clean"
         observation = FaultPlan(region_loss={"use1": 0.1})
-        assert observation.affects_probes and not observation.affects_execution
+        assert observation.affects_probes
         assert observation.probe_signature() != "clean"
         # Transport knobs never leak into the observation signature.
         assert observation.probe_signature() == \
@@ -488,19 +483,27 @@ class TestCheckpointResume:
     def test_fingerprint_ignores_transport_but_not_observation_faults(
         self, tiny_world, probe_space
     ):
-        targets, regions = probe_space
+        clean = _journal_fingerprint(tiny_world, probe_space, None)
+        assert _journal_fingerprint(
+            tiny_world, probe_space, FaultPlan(crash_rate=0.5, poison_shards=(1,))
+        ) == clean
+        assert _journal_fingerprint(
+            tiny_world, probe_space, FaultPlan(region_loss={"*": 0.1})
+        ) != clean
 
-        def fp(faults):
-            engine = TracerouteEngine(tiny_world, faults=faults)
-            executor = ShardedExecutor(
-                tiny_world, engine, CloudMembership(tiny_world, "amazon"),
-                faults=faults,
-            )
-            return executor._fingerprint(regions, targets, 4)
+    def test_fingerprint_is_pinned(self, tiny_world, probe_space):
+        """Journals on disk stay valid only while this hash never moves.
 
-        clean = fp(None)
-        assert fp(FaultPlan(crash_rate=0.5, poison_shards=(1,))) == clean
-        assert fp(FaultPlan(region_loss={"*": 0.1})) != clean
+        A reordered or extended fingerprint tuple would silently orphan
+        every checkpoint journal written before the change.
+        """
+        assert probe_space[1] == ["ap-northeast-1", "ap-northeast-2"]
+        assert _journal_fingerprint(tiny_world, probe_space, None) == (
+            "19c1ad7833ef9f40b2d311b41068db53700d63bc7c107fd310d1be0b2bec4860"
+        )
+        assert _journal_fingerprint(
+            tiny_world, probe_space, FaultPlan(seed=2, region_loss={"*": 0.1})
+        ) == "4047d9975036715c86926b676f88708a1c2e24da4eb1bb3271333646cbe6d37d"
 
     def test_store_sanitizes_labels(self, tmp_path):
         store = CheckpointStore(tmp_path)

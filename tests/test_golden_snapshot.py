@@ -39,6 +39,7 @@ from repro import (
     WorldConfig,
     build_world,
 )
+from repro.core.annotate import HopAnnotator
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_study.json"
 
@@ -178,29 +179,38 @@ def test_observation_faulted_run_matches_golden(golden, golden_world, adaptive):
 # --- annotation-cache sharing ------------------------------------------
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_private_annotation_caches_match_golden(golden, golden_world, workers):
-    """Turning the shared cache *off* must change nothing but allocations."""
-    result = AmazonPeeringStudy(
-        golden_world,
-        _config(golden, workers=workers, shared_annotation_cache=False),
-    ).run()
-    assert result.digest() == golden["digest"]
+@pytest.mark.parametrize("dirty", [False, True], ids=["clean", "dirty"])
+def test_shared_annotators_match_private_annotators(golden, golden_world, dirty):
+    """The shared cache is sound only if annotation never reads ``home_org``.
+
+    Every interface is annotated by the round-2 annotator first, so each
+    VPI annotator answers from an entry another home org filled.  A fresh
+    ``HopAnnotator`` with a private cache and the same ``home_org`` is the
+    reference, over clean and dirty datasets alike.
+    """
+    overrides = (
+        {"data_fault_plan": DIRTY_PLAN, "min_confidence": 0.8} if dirty else {}
+    )
+    study = AmazonPeeringStudy(golden_world, _config(golden, **overrides))
+    shared = [study.annotator_r2, *study.cloud_annotators.values()]
+    private = [
+        HopAnnotator(
+            study.bgp_r2, study.whois, study.as2org, study.ixps,
+            home_org=annotator.home_org,
+        )
+        for annotator in shared
+    ]
+    for ip in sorted(golden_world.interfaces):
+        for annotator, reference in zip(shared, private):
+            assert annotator.annotate(ip) == reference.annotate(ip), (
+                ip, annotator.home_org,
+            )
 
 
-@pytest.mark.parametrize("shared_cache", [True, False])
-def test_traced_run_matches_golden_with_either_cache_mode(
-    golden, golden_world, shared_cache
-):
-    """Fine-grained tracing composes with both cache modes, digest-neutrally."""
+def test_traced_run_matches_golden(golden, golden_world):
+    """Fine-grained tracing on a pooled run is digest-neutral."""
     result = AmazonPeeringStudy(
-        golden_world,
-        _config(
-            golden,
-            workers=2,
-            trace=True,
-            shared_annotation_cache=shared_cache,
-        ),
+        golden_world, _config(golden, workers=2, trace=True)
     ).run()
     assert result.digest() == golden["digest"]
     assert result.metrics.tracer.records, "tracing recorded no spans"
@@ -214,16 +224,6 @@ def test_shared_cache_actually_shares(golden, golden_world):
     for annotator in study.cloud_annotators.values():
         assert annotator._cache is r2_cache
     assert study.annotator_r1._cache is not r2_cache
-
-    private = AmazonPeeringStudy(
-        golden_world, _config(golden, shared_annotation_cache=False)
-    )
-    caches = {
-        id(a._cache)
-        for a in (private.annotator_r1, private.annotator_r2,
-                  *private.cloud_annotators.values())
-    }
-    assert len(caches) == 2 + len(private.cloud_annotators)
 
 
 # --- dirty datasets ----------------------------------------------------

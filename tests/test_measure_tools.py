@@ -3,8 +3,14 @@
 import pytest
 
 from repro.measure.alias import AliasResolver, _UnionFind
-from repro.measure.campaign import CampaignStats, ProbeCampaign, vpi_target_pool
+from repro.measure.campaign import (
+    CampaignStats,
+    expansion_targets,
+    round1_targets,
+    vpi_target_pool,
+)
 from repro.measure.dnslookup import ReverseDNS
+from repro.measure.executor import ShardedExecutor
 from repro.measure.ping import PROCESSING_FLOOR_MS, Pinger
 from repro.measure.reachability import PublicVantagePoint
 from repro.measure.sink import NullSink
@@ -189,30 +195,31 @@ class TestReverseDNS:
 
 class TestCampaign:
     def test_round1_targets_are_dot1(self, tiny_world):
-        campaign = ProbeCampaign(tiny_world)
-        for dst in list(campaign.round1_targets())[:50]:
+        for dst in round1_targets(tiny_world)[:50]:
             assert dst & 0xFF == 1
 
     def test_expansion_targets_exclude_the_cbi(self, tiny_world):
         cbi = next(iter(tiny_world.interconnections.values())).cbi_ip
-        targets = ProbeCampaign.expansion_targets([cbi])
+        targets = expansion_targets([cbi])
         assert cbi not in targets
         assert all(t & 0xFFFFFF00 == cbi & 0xFFFFFF00 for t in targets)
         assert len(targets) == 253
 
     def test_expansion_stride(self):
-        targets = ProbeCampaign.expansion_targets([0x0A000001], stride=4)
+        targets = expansion_targets([0x0A000001], stride=4)
         assert len(targets) < 70
 
     def test_expansion_dedupes_shared_slash24(self):
-        targets = ProbeCampaign.expansion_targets([0x0A000002, 0x0A000003])
+        targets = expansion_targets([0x0A000002, 0x0A000003])
         # One /24 expanded once.
         assert len(targets) == 253
 
     def test_stats_counting(self, tiny_world):
         engine = TracerouteEngine(tiny_world, seed=0)
-        campaign = ProbeCampaign(tiny_world, engine)
-        stats = campaign.run(
+        executor = ShardedExecutor(tiny_world, engine)
+        stats = executor.run(
+            "amazon",
+            "campaign",
             [p.network + 1 for p in tiny_world.sweep_slash24s[:10]],
             NullSink(),
             regions=tiny_world.region_names("amazon")[:2],

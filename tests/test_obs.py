@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from repro.core.config import StudyConfig
 from repro.core.pipeline import AmazonPeeringStudy
-from repro.measure.campaign import ProbeCampaign
+from repro.measure.executor import ShardedExecutor
 from repro.measure.sink import CollectorSink, NullSink
+from repro.measure.traceroute import TracerouteEngine
 from repro.obs.analyze import (
     campaign_funnel,
     render_trace_summary,
@@ -261,15 +262,17 @@ class TestExportRoundTrip:
 class TestCampaignTracing:
     def _traced_run(self, world, workers):
         tracer = Tracer()
-        campaign = ProbeCampaign(world, workers=workers)
+        executor = ShardedExecutor(
+            world, TracerouteEngine(world), workers=workers,
+            tracer=tracer, worker_spans=True,
+        )
         sink = CollectorSink()
-        stats = campaign.run(
+        stats = executor.run(
+            "amazon",
+            "round1",
             [p.network + 1 for p in world.sweep_slash24s[:20]],
             sink,
             regions=world.region_names("amazon")[:2],
-            checkpoint_label="round1",
-            tracer=tracer,
-            worker_spans=True,
         )
         return tracer.records, stats, sink
 
@@ -316,13 +319,14 @@ class TestCampaignTracing:
 
     def test_tracing_does_not_change_the_trace_stream(self, tiny_world):
         _, stats_traced, sink_traced = self._traced_run(tiny_world, 2)
-        campaign = ProbeCampaign(tiny_world, workers=2)
+        executor = ShardedExecutor(tiny_world, TracerouteEngine(tiny_world), workers=2)
         sink_plain = CollectorSink()
-        stats_plain = campaign.run(
+        stats_plain = executor.run(
+            "amazon",
+            "round1",
             [p.network + 1 for p in tiny_world.sweep_slash24s[:20]],
             sink_plain,
             regions=tiny_world.region_names("amazon")[:2],
-            checkpoint_label="round1",
         )
         assert stats_traced == stats_plain
         assert [repr(t) for t in sink_traced.traces] == [
@@ -333,14 +337,16 @@ class TestCampaignTracing:
 class TestTraceAnalyzer:
     def _campaign_trace(self, tiny_world, tmp_path):
         tracer = Tracer()
-        campaign = ProbeCampaign(tiny_world, workers=2)
-        campaign.run(
+        executor = ShardedExecutor(
+            tiny_world, TracerouteEngine(tiny_world), workers=2,
+            tracer=tracer, worker_spans=True,
+        )
+        executor.run(
+            "amazon",
+            "round1",
             [p.network + 1 for p in tiny_world.sweep_slash24s[:20]],
             NullSink(),
             regions=tiny_world.region_names("amazon")[:2],
-            checkpoint_label="round1",
-            tracer=tracer,
-            worker_spans=True,
         )
         path = tmp_path / "trace.jsonl"
         write_trace(path, tracer.records, meta={"seed": 11})

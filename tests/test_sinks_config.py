@@ -303,7 +303,6 @@ def _full_config():
         retry_backoff_s=0.01,
         deadline_s=120.0,
         retry_budget=10,
-        hung_shard_after_s=30.0,
         data_fault_plan=DataFaultPlan(seed=3, bgp_stale_rate=0.1, whois_gap_rate=0.2),
         min_confidence=0.4,
         trace=True,

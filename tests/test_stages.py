@@ -143,7 +143,6 @@ class TestStageChain:
             max_retries=5,
             deadline_s=60.0,
             retry_budget=3,
-            hung_shard_after_s=10.0,
             trace=True,
         )
         scale = tiny_world.config.scale

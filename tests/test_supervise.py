@@ -10,7 +10,6 @@ from repro.errors import (
     EXIT_INTERRUPTED,
     DataError,
     DeadlineExceeded,
-    HungShardError,
     ReproError,
     ShardTimeoutError,
     StageError,
@@ -37,7 +36,6 @@ class TestTaxonomy:
     def test_categories(self):
         assert TransportError("x").category == "transport"
         assert ShardTimeoutError("x").category == "timeout"
-        assert HungShardError("x").category == "hung"
         assert DataError("x").category == "data"
         assert StudyInterrupted("x").category == "interrupted"
         assert DeadlineExceeded(5.0).category == "deadline"
@@ -182,7 +180,7 @@ class TestSignals:
         assert failures == []
 
 
-# --- hung-shard detection ----------------------------------------------
+# --- hung shards: the shard timeout is the one wait horizon ----------
 
 
 class _NeverReadyHandle:
@@ -192,41 +190,28 @@ class _NeverReadyHandle:
         raise multiprocessing.TimeoutError
 
 
-class _Shard:
-    index = 3
-    region = "use1"
-
-
 def _executor(tiny_world, supervisor, shard_timeout=None):
-    from repro.measure.campaign import CloudMembership
     from repro.measure.executor import RetryPolicy, ShardedExecutor
     from repro.measure.traceroute import TracerouteEngine
 
     return ShardedExecutor(
         tiny_world,
         TracerouteEngine(tiny_world),
-        CloudMembership(tiny_world, "amazon"),
         retry=RetryPolicy(shard_timeout=shard_timeout, backoff_base_s=0.0),
         supervisor=supervisor,
     )
 
 
 class TestHungShards:
-    def test_hung_horizon_fires_before_shard_timeout(self, tiny_world):
-        sup = StudySupervisor(hung_shard_after_s=0.1)
-        executor = _executor(tiny_world, sup, shard_timeout=60.0)
-        with pytest.raises(HungShardError, match="shard 3"):
-            executor._wait_for_shard(_NeverReadyHandle(), _Shard())
-
     def test_shard_timeout_fires_without_a_horizon(self, tiny_world):
         sup = StudySupervisor()
         executor = _executor(tiny_world, sup, shard_timeout=0.1)
         with pytest.raises(ShardTimeoutError):
-            executor._wait_for_shard(_NeverReadyHandle(), _Shard())
+            executor._wait_for_shard(_NeverReadyHandle())
 
     def test_cancel_interrupts_the_wait(self, tiny_world):
         sup = StudySupervisor()
         sup.request_cancel("received SIGTERM")
         executor = _executor(tiny_world, sup, shard_timeout=60.0)
         with pytest.raises(StudyInterrupted):
-            executor._wait_for_shard(_NeverReadyHandle(), _Shard())
+            executor._wait_for_shard(_NeverReadyHandle())

@@ -79,11 +79,6 @@ class TestTraceSemantics:
         trace = engine.trace("amazon", _region(tiny_world), route.prefix.network + 1)
         assert trace.responsive_ips == [h.ip for h in trace.hops if h.ip is not None]
 
-    def test_trace_many_streams(self, tiny_world, engine):
-        targets = [p.network + 1 for p in tiny_world.sweep_slash24s[:5]]
-        traces = list(engine.trace_many("amazon", _region(tiny_world), iter(targets)))
-        assert [t.dst for t in traces] == targets
-
 
 class TestThirdPartyResponders:
     def test_third_party_set_is_deterministic(self, tiny_world):
