@@ -130,27 +130,47 @@ class BorderObservatory(EventSink):
         """Process one traceroute; returns the candidate segment, if any."""
         self.stats.ingested += 1
         hops = trace.hops
+        region = trace.region
         annotate = self.annotator.annotate
         is_border = self.annotator.is_border_candidate
+        iface_regions = self.iface_regions
+        iface_min_rtt = self.iface_min_rtt
+        successors = self.successors
 
         border_idx: Optional[int] = None
         border_ann: Optional[HopAnnotation] = None
+        first_gap: Optional[int] = None
         responsive_ips: List[IPv4] = []
-        responsive_idx: List[int] = []
-        for idx, hop in enumerate(hops):
-            if hop.ip is None:
+        prev: Optional[IPv4] = None
+        for idx, (_ttl, ip, rtt) in enumerate(hops):
+            if ip is None:
+                if first_gap is None:
+                    first_gap = idx
                 continue
-            ann = annotate(hop.ip)
-            responsive_ips.append(hop.ip)
-            responsive_idx.append(idx)
-            self._note_interface(hop.ip, trace.region, hop.rtt_ms)
+            ann = annotate(ip)
+            responsive_ips.append(ip)
+            # Per-interface state: regions, first round, min RTT.
+            regions = iface_regions.get(ip)
+            if regions is None:
+                iface_regions[ip] = {region}
+                self.iface_round.setdefault(ip, self.current_round)
+            else:
+                regions.add(region)
+            if rtt is not None:
+                key = (ip, region)
+                old = iface_min_rtt.get(key)
+                if old is None or rtt < old:
+                    iface_min_rtt[key] = rtt
+            # Successor map over consecutive responsive hops (full trace).
+            if prev is not None:
+                counts = successors.get(prev)
+                if counts is None:
+                    counts = successors[prev] = Counter()
+                counts[ip] += 1
+            prev = ip
             if border_idx is None and is_border(ann):
                 border_idx = idx
                 border_ann = ann
-
-        # Successor map over consecutive responsive hops (full trace).
-        for a, b in zip(responsive_ips, responsive_ips[1:]):
-            self.successors.setdefault(a, Counter())[b] += 1
 
         if border_idx is None or border_ann is None:
             self.stats.dropped[DropReason.NO_BORDER] += 1
@@ -160,12 +180,11 @@ class BorderObservatory(EventSink):
         assert cbi is not None
 
         # Hygiene filters, applied in the paper's order. ----------------
-        pre_border = [h for h in hops[:border_idx]]
-        if any(h.ip is None for h in pre_border):
+        if first_gap is not None and first_gap < border_idx:
             self.stats.dropped[DropReason.GAP_BEFORE_BORDER] += 1
             return None
-        pre_ips = [h.ip for h in pre_border]
-        if len(set(pre_ips)) != len(pre_ips):
+        # No gap before the border: its hops are the first responsive ones.
+        if len(set(responsive_ips[:border_idx])) != border_idx:
             self.stats.dropped[DropReason.DUPLICATE_BEFORE_BORDER] += 1
             return None
         if len(set(responsive_ips)) != len(responsive_ips):
@@ -206,17 +225,6 @@ class BorderObservatory(EventSink):
             self.low_confidence_segments.add(key)
         self.stats.with_border += 1
         return key
-
-    # ------------------------------------------------------------------
-
-    def _note_interface(self, ip: IPv4, region: str, rtt: Optional[float]) -> None:
-        self.iface_regions.setdefault(ip, set()).add(region)
-        self.iface_round.setdefault(ip, self.current_round)
-        if rtt is not None:
-            key = (ip, region)
-            old = self.iface_min_rtt.get(key)
-            if old is None or rtt < old:
-                self.iface_min_rtt[key] = rtt
 
     # ------------------------------------------------------------------
     # views over the accumulated state

@@ -276,7 +276,7 @@ def _unpack_result(packed: Sequence[Any], cloud: str) -> ShardResult:
                 cloud=cloud,
                 region=region,
                 dst=dst,
-                hops=[TraceHop(ttl, ip, rtt) for ttl, ip, rtt in hops],
+                hops=list(map(TraceHop._make, hops)),
                 stop_reason=stop_reason,
             ),
             left,

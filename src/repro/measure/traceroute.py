@@ -15,14 +15,21 @@ from an RNG derived solely from ``(engine seed, cloud, region, dst)``.  A
 probe's outcome therefore never depends on how many probes ran before it,
 which is what lets the sharded executor split a campaign across worker
 processes and still reproduce the serial run bit for bit.
+
+The per-hop work reads tables instead of recomputing: each hop's RTT leg
+comes from a per-engine ``(previous metro, metro)`` table filled on first
+use, and a third-party responder's answer from a dict built once at
+engine init.  The legs are still added one by one from the VM's metro, in
+path order, so every RTT is the float the unmemoised sum gave.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
+from repro.net.geo import MetroCatalog
 from repro.net.ip import IPv4
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
@@ -42,8 +49,7 @@ class StopReason:
     LOOP = "loop"
 
 
-@dataclass(frozen=True)
-class TraceHop:
+class TraceHop(NamedTuple):
     """One TTL slot: the answering interface (or None) and its RTT."""
 
     ttl: int
@@ -88,13 +94,6 @@ class TracerouteEngine:
         self._probe_faults = (
             faults if faults is not None and faults.affects_probes else None
         )
-        # Pre-fetch per-router data the hot loop needs.
-        self._router_role = {
-            rid: r.role for rid, r in world.routers.items()
-        }
-        self._router_ifaces = {
-            rid: r.interface_ips for rid, r in world.routers.items()
-        }
         # Violating the incoming-interface convention is a router *config*
         # property, not a per-probe accident: the same routers misbehave
         # on every probe (§9 cites >50% compliance overall).
@@ -102,22 +101,20 @@ class TracerouteEngine:
         world_seed = getattr(self.config, "seed", 0)
         self._third_party_routers = {
             rid
-            for rid, role in self._router_role.items()
-            if role == RouterRole.CLIENT_BORDER
+            for rid, router in world.routers.items()
+            if router.role == RouterRole.CLIENT_BORDER
             and ((rid * 2654435761 + world_seed * 97) & 0xFFFF) / 65536.0 < rate
         }
+        #: router id -> the fixed default (first) interface a third-party
+        #: responder answers with instead of the incoming one.
+        self._third_party_answer: Dict[int, IPv4] = {
+            rid: world.routers[rid].interface_ips[0]
+            for rid in self._third_party_routers
+            if world.routers[rid].interface_ips
+        }
+        self._legs = _LegTable(world.catalog)
 
     # ------------------------------------------------------------------
-
-    def _response_ip(self, router_id: int, incoming: IPv4, rng: random.Random) -> IPv4:
-        """The incoming interface, unless the router is a third-party
-        responder, in which case its fixed default (first) interface."""
-        if router_id not in self._third_party_routers:
-            return incoming
-        ifaces = self._router_ifaces.get(router_id) or ()
-        if not ifaces:
-            return incoming
-        return ifaces[0]
 
     def probe_rng(self, cloud: str, region: str, dst: IPv4) -> random.Random:
         """The per-probe noise stream: a pure function of the probe key."""
@@ -149,33 +146,37 @@ class TracerouteEngine:
         salt: int = 0,
     ) -> Traceroute:
         cfg = self.config
-        catalog = self.world.catalog
-        region_metro = self.world.regions[cloud][region].metro_code
+        legs = self._legs
+        third_party_answer = self._third_party_answer
+        draw = rng.random
+        loss_rate = cfg.probe_loss_rate
+        hop_ms = cfg.hop_processing_ms
+        jitter_rate = 1.0 / max(cfg.ping_jitter_ms, 1e-6)
+        dst = plan.dest_ip
 
         hops: List[TraceHop] = []
         gap = 0
         ttl = 0
         cum_rtt = 0.0
-        prev_metro = region_metro
+        prev_metro = self.world.regions[cloud][region].metro_code
         seen_ips: List[IPv4] = []
-        loop_injected = rng.random() < cfg.loop_rate
+        loop_injected = draw() < cfg.loop_rate
         faults = self._probe_faults
         # The rate-limit window is the probe's, not the hop's: draw it once.
         window = (
-            faults.rate_limited_ttls(cloud, region, plan.dest_ip, salt)
+            faults.rate_limited_ttls(cloud, region, dst, salt)
             if faults is not None
             else None
         )
 
-        for hop in plan.hops:
+        for router_id, incoming, metro, responsiveness in plan.hops:
             ttl += 1
-            cum_rtt_here = cum_rtt + catalog.rtt_ms(prev_metro, hop.metro_code)
-            cum_rtt = cum_rtt_here
-            prev_metro = hop.metro_code
+            cum_rtt = cum_rtt + legs[prev_metro, metro]
+            prev_metro = metro
             responds = (
-                hop.responsiveness > 0.0
-                and rng.random() < hop.responsiveness
-                and rng.random() >= cfg.probe_loss_rate
+                responsiveness > 0.0
+                and draw() < responsiveness
+                and draw() >= loss_rate
             )
             # Injected loss / rate-limit windows draw from their own pure
             # hash (never ``rng``), so the base noise stream -- and with
@@ -183,50 +184,53 @@ class TracerouteEngine:
             if (
                 responds
                 and faults is not None
-                and faults.hop_suppressed(
-                    cloud, region, plan.dest_ip, ttl, salt, window
-                )
+                and faults.hop_suppressed(cloud, region, dst, ttl, salt, window)
             ):
                 responds = False
             if not responds:
-                hops.append(TraceHop(ttl=ttl, ip=None, rtt_ms=None))
+                hops.append(TraceHop(ttl, None, None))
                 gap += 1
                 if gap >= GAP_LIMIT:
-                    return Traceroute(cloud, region, plan.dest_ip, hops, StopReason.GAP_LIMIT)
+                    return Traceroute(cloud, region, dst, hops, StopReason.GAP_LIMIT)
                 continue
             gap = 0
-            ip = self._response_ip(hop.router_id, hop.ip, rng)
+            ip = third_party_answer.get(router_id, incoming)
             if loop_injected and seen_ips and ttl > 2:
                 # A forwarding loop: repeat an earlier interface once.
                 ip = seen_ips[rng.randrange(len(seen_ips))]
                 loop_injected = False
-            rtt = (
-                cum_rtt_here
-                + cfg.hop_processing_ms * ttl
-                + rng.expovariate(1.0 / max(cfg.ping_jitter_ms, 1e-6))
-            )
-            hops.append(TraceHop(ttl=ttl, ip=ip, rtt_ms=rtt))
+            rtt = cum_rtt + hop_ms * ttl + rng.expovariate(jitter_rate)
+            hops.append(TraceHop(ttl, ip, rtt))
             seen_ips.append(ip)
 
-        dest_responds = plan.dest_responds and rng.random() >= cfg.probe_loss_rate
+        dest_responds = plan.dest_responds and draw() >= loss_rate
         if (
             dest_responds
             and faults is not None
-            and faults.hop_suppressed(
-                cloud, region, plan.dest_ip, ttl + 1, salt, window
-            )
+            and faults.hop_suppressed(cloud, region, dst, ttl + 1, salt, window)
         ):
             dest_responds = False
         if dest_responds:
             ttl += 1
-            rtt = cum_rtt + cfg.hop_processing_ms * ttl + rng.expovariate(
-                1.0 / max(cfg.ping_jitter_ms, 1e-6)
-            )
-            hops.append(TraceHop(ttl=ttl, ip=plan.dest_ip, rtt_ms=rtt))
-            return Traceroute(cloud, region, plan.dest_ip, hops, StopReason.COMPLETED)
+            rtt = cum_rtt + hop_ms * ttl + rng.expovariate(jitter_rate)
+            hops.append(TraceHop(ttl, dst, rtt))
+            return Traceroute(cloud, region, dst, hops, StopReason.COMPLETED)
 
         # Unresponsive tail until the gap limit fires.
         for _ in range(GAP_LIMIT - gap):
             ttl += 1
-            hops.append(TraceHop(ttl=ttl, ip=None, rtt_ms=None))
-        return Traceroute(cloud, region, plan.dest_ip, hops, StopReason.GAP_LIMIT)
+            hops.append(TraceHop(ttl, None, None))
+        return Traceroute(cloud, region, dst, hops, StopReason.GAP_LIMIT)
+
+
+class _LegTable(dict):
+    """``(from metro, to metro)`` -> the catalog's RTT for that leg,
+    computed on first use."""
+
+    def __init__(self, catalog: MetroCatalog) -> None:
+        super().__init__()
+        self.catalog = catalog
+
+    def __missing__(self, key: Tuple[str, str]) -> float:
+        leg = self[key] = self.catalog.rtt_ms(*key)
+        return leg

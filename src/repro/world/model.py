@@ -4,10 +4,23 @@
 two kinds of behaviour to the measurement plane:
 
 * :meth:`World.resolve_path` -- the forwarding decision for a probe from a
-  cloud VM to a destination address, as a sequence of :class:`PlanHop`
+  cloud VM to a destination address, as a tuple of :class:`PlanHop`
   (which router answers, with which interface, from which metro);
 * per-interface reachability/latency attributes consumed by the ping and
   reachability probers.
+
+A path is a join of hop segments that many probes share: a region's
+internal path per ``(cloud, region)``, the tail from the region edge
+through the ABI to the CBI per ``(cloud, region, icx, ABI)``, the client
+chain per /24 route, and the transit legs per ``(cloud, region,
+carrier)``.  The tails of every region reuse their interconnection's own
+hop objects (aggregation, ABIs, CBI), so each hop is built once.
+``World._segments`` builds each segment on first use and keeps it for
+the world's lifetime, so a probe allocates only its plan and the tuple
+its segments join into.  Nothing ever invalidates the memo: routing
+state is immutable once ``build_world`` returns.  The memo holds
+segments, never whole paths, so it grows with the world, not with the
+number of probes.
 
 Inference code must never touch ground-truth fields (router ownership,
 true metros, peering types); those are reserved for the evaluation layer.
@@ -15,12 +28,12 @@ true metros, peering types); those are reserved for the evaluation layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.net.asn import ASN, ASRegistry
 from repro.net.geo import MetroCatalog
-from repro.net.ip import IPv4, Prefix, is_private, is_shared
+from repro.net.ip import IPv4, Prefix, is_private_or_shared
 from repro.world.addressing import AddressPlan
 from repro.world.entities import (
     ClientAS,
@@ -45,8 +58,7 @@ def _stable_response(dst: IPv4, p: float) -> bool:
     return ((dst * 2654435761) & 0xFFFF) / 65536.0 < p
 
 
-@dataclass(frozen=True)
-class PlanHop:
+class PlanHop(NamedTuple):
     """One forwarding hop as the traceroute engine sees it."""
 
     router_id: int
@@ -63,7 +75,7 @@ class PathPlan:
     ground truth used only by evaluation, never by inference.
     """
 
-    hops: List[PlanHop]
+    hops: Tuple[PlanHop, ...]
     dest_ip: IPv4
     dest_responds: bool
     exits_cloud: bool
@@ -120,8 +132,11 @@ class World:
         self.routes: Dict[int, Slash24Route] = {}
         #: (cloud, /24 network) -> [(subnet prefix, icx_id)] interconnect space
         self.infra_subnets: Dict[Tuple[str, int], List[Tuple[Prefix, int]]] = {}
-        #: cloud name -> per-icx access-path tails keyed by (region, icx)
-        self._tail_cache: Dict[Tuple[str, str, int], Tuple[List[PlanHop], IPv4]] = {}
+        #: resolve_path's shared hop segments and the routing facts behind
+        #: them, built on first use and never invalidated (module
+        #: docstring); keys start with their kind: "base", "tail",
+        #: "border", "chain", "transit", "infra" or "mirror"
+        self._segments: Dict[Tuple[Any, ...], Any] = {}
         #: backbone hop per (cloud, from_region, to_metro)
         self.backbone_hops: Dict[Tuple[str, str], PlanHop] = {}
         #: interfaces answering pings from the public Internet
@@ -200,106 +215,172 @@ class World:
             return self.interconnections
         return self.other_cloud_icx.get(cloud, {})
 
-    def _tail_for(
-        self, cloud: str, region_name: str, icx_id: int, dst: IPv4
-    ) -> List[PlanHop]:
-        """Hops from the region edge to (and including) the ABI.
-
-        The pre-ABI hops are cached per (cloud, region, icx); the ABI hop
-        itself depends on the destination because of ECMP: probes hashed
-        onto different parallel links cross different border interfaces.
-        """
-        key = (cloud, region_name, icx_id)
-        cached = self._tail_cache.get(key)
-        icx = self._icx_store(cloud)[icx_id]
-        if cached is None:
+    def _base_hops(self, cloud: str, region_name: str) -> Tuple[PlanHop, ...]:
+        """The region's internal path, VM side first."""
+        key = ("base", cloud, region_name)
+        base = self._segments.get(key)
+        if base is None:
             region = self.regions[cloud][region_name]
-            pre: List[PlanHop] = []
-            options: Tuple[IPv4, ...] = icx.abi_ecmp or (icx.abi_ip,)
-            if icx.metro_code != region.metro_code:
-                bb = self.backbone_hops.get((cloud, region_name))
-                if bb is not None:
-                    pre.append(bb)
-                # Traffic arriving over the backbone may hit the border
-                # router on its backbone-facing link interface instead of
-                # one of the fabric-facing ones -- that shared interface is
-                # what fuses the ICG across peerings (§7.4).
-                backbone_iface = self.router_backbone_iface.get(icx.abi_router_id)
-                if backbone_iface is not None:
-                    options = options + (backbone_iface,)
-            if icx.agg_abi_ip is not None:
-                agg_iface = self.interfaces.get(icx.agg_abi_ip)
-                if agg_iface is not None:
-                    agg_router = self.routers[agg_iface.router_id]
-                    pre.append(
-                        PlanHop(
-                            router_id=agg_iface.router_id,
-                            ip=icx.agg_abi_ip,
-                            metro_code=icx.metro_code,
-                            responsiveness=agg_router.responsiveness,
-                        )
-                    )
-            cached = (pre, options)
-            self._tail_cache[key] = cached
-        pre, options = cached
-        if len(options) > 1:
-            abi_ip = options[((dst * 2654435761) >> 7) % len(options)]
-        else:
-            abi_ip = options[0]
-        iface = self.interfaces.get(abi_ip)
-        router_id = iface.router_id if iface is not None else icx.abi_router_id
-        abi_router = self.routers[router_id]
-        return list(pre) + [
-            PlanHop(
-                router_id=router_id,
-                ip=abi_ip,
-                metro_code=icx.abi_metro_code or icx.metro_code,
-                responsiveness=abi_router.responsiveness,
+            base = self._segments[key] = tuple(
+                PlanHop(rid, ip, region.metro_code) for rid, ip in region.internal_path
             )
-        ]
+        return base
 
-    def _cbi_hop(self, icx: Interconnection) -> PlanHop:
-        router = self.routers[icx.cbi_router_id]
-        return PlanHop(
-            router_id=icx.cbi_router_id,
-            ip=icx.cbi_ip,
-            metro_code=icx.client_metro_code,
-            responsiveness=router.responsiveness,
-        )
+    def _tail_for(
+        self, cloud: str, region_name: str, icx: Interconnection, dst: IPv4
+    ) -> Tuple[PlanHop, ...]:
+        """Hops from the region edge through the ABI to the CBI.
 
-    def _chain_hops(self, chain_router_ids: Sequence[int]) -> List[PlanHop]:
-        hops: List[PlanHop] = []
-        for rid in chain_router_ids:
-            router = self.routers[rid]
-            if not router.interface_ips:
-                continue
-            hops.append(
-                PlanHop(
-                    router_id=rid,
-                    ip=router.interface_ips[0],
-                    metro_code=router.metro_code or "???",
-                    responsiveness=router.responsiveness,
+        The ABI depends on the destination because of ECMP: probes hashed
+        onto different parallel links cross different border interfaces.
+        So the memo keeps one tail per ABI option, in option order.
+        """
+        key = ("tail", cloud, region_name, icx.icx_id)
+        tails = self._segments.get(key)
+        if tails is None:
+            tails = self._segments[key] = self._build_tails(cloud, region_name, icx)
+        if len(tails) > 1:
+            return tails[((dst * 2654435761) >> 7) % len(tails)]
+        return tails[0]
+
+    def _build_tails(
+        self, cloud: str, region_name: str, icx: Interconnection
+    ) -> Tuple[Tuple[PlanHop, ...], ...]:
+        region = self.regions[cloud][region_name]
+        agg, abi_hops, cbi = self._border_hops(cloud, icx)
+        pre = agg
+        options: Tuple[IPv4, ...] = icx.abi_ecmp or (icx.abi_ip,)
+        if icx.metro_code != region.metro_code:
+            bb = self.backbone_hops.get((cloud, region_name))
+            if bb is not None:
+                pre = (bb,) + agg
+            # Traffic arriving over the backbone may hit the border router
+            # on its backbone-facing link interface instead of one of the
+            # fabric-facing ones -- that shared interface is what fuses
+            # the ICG across peerings (§7.4).
+            backbone_iface = self.router_backbone_iface.get(icx.abi_router_id)
+            if backbone_iface is not None:
+                options = options + (backbone_iface,)
+        return tuple(pre + (abi_hops[abi_ip], cbi) for abi_ip in options)
+
+    def _border_hops(
+        self, cloud: str, icx: Interconnection
+    ) -> Tuple[Tuple[PlanHop, ...], Dict[IPv4, PlanHop], PlanHop]:
+        """``icx``'s own hops, shared by the tails of every region: the
+        aggregation hop (if any), the ABI hop of each interface a probe
+        may cross, and the CBI hop."""
+        key = ("border", cloud, icx.icx_id)
+        hops = self._segments.get(key)
+        if hops is not None:
+            return hops
+        agg: Tuple[PlanHop, ...] = ()
+        if icx.agg_abi_ip is not None:
+            agg_iface = self.interfaces.get(icx.agg_abi_ip)
+            if agg_iface is not None:
+                agg_router = self.routers[agg_iface.router_id]
+                agg = (
+                    PlanHop(
+                        agg_iface.router_id,
+                        icx.agg_abi_ip,
+                        icx.metro_code,
+                        agg_router.responsiveness,
+                    ),
                 )
+        abi_hops: Dict[IPv4, PlanHop] = {}
+        backbone_iface = self.router_backbone_iface.get(icx.abi_router_id)
+        for abi_ip in (icx.abi_ecmp or (icx.abi_ip,)) + (
+            (backbone_iface,) if backbone_iface is not None else ()
+        ):
+            iface = self.interfaces.get(abi_ip)
+            router_id = iface.router_id if iface is not None else icx.abi_router_id
+            abi_hops[abi_ip] = PlanHop(
+                router_id,
+                abi_ip,
+                icx.abi_metro_code or icx.metro_code,
+                self.routers[router_id].responsiveness,
             )
+        cbi = PlanHop(
+            icx.cbi_router_id,
+            icx.cbi_ip,
+            icx.client_metro_code,
+            self.routers[icx.cbi_router_id].responsiveness,
+        )
+        hops = self._segments[key] = (agg, abi_hops, cbi)
         return hops
 
+    def _chain_hops(self, net: int, route: Slash24Route) -> Tuple[PlanHop, ...]:
+        """The client-side chain between the CBI router and ``route``'s
+        destinations (``net`` is the route's /24)."""
+        key = ("chain", net)
+        chain = self._segments.get(key)
+        if chain is None:
+            hops: List[PlanHop] = []
+            for rid in route.chain_router_ids:
+                router = self.routers[rid]
+                if router.interface_ips:
+                    hops.append(
+                        PlanHop(
+                            rid,
+                            router.interface_ips[0],
+                            router.metro_code or "???",
+                            router.responsiveness,
+                        )
+                    )
+            chain = self._segments[key] = tuple(hops)
+        return chain
+
     def _lookup_icx_for_infra(self, cloud: str, dst: IPv4) -> Optional[int]:
-        """Connected-route lookup: is dst inside an interconnect /24?"""
-        entries = self.infra_subnets.get((cloud, dst & 0xFFFFFF00))
+        """Connected-route lookup: is dst inside an interconnect /24?
+
+        Each such /24 gets a 256-slot table of offset -> icx id on first
+        use; the first registered subnet covering an address wins.
+        """
+        net = dst & 0xFFFFFF00
+        entries = self.infra_subnets.get((cloud, net))
         if not entries:
             return None
-        for subnet, icx_id in entries:
-            if dst in subnet:
-                return icx_id
-        return None
+        key = ("infra", cloud, net)
+        table = self._segments.get(key)
+        if table is None:
+            slots: List[Optional[int]] = [None] * 256
+            for subnet, icx_id in reversed(entries):
+                lo = max(subnet.network, net)
+                hi = min(subnet.network + subnet.size - 1, net + 255)
+                slots[lo - net : hi - net + 1] = [icx_id] * (hi - lo + 1)
+            table = self._segments[key] = tuple(slots)
+        return table[dst & 0xFF]
+
+    def _mirror_egress(
+        self, cloud: str, region_name: str, carrier: ASN
+    ) -> Optional[int]:
+        """Another cloud's egress toward ``carrier``: its mirror
+        interconnection nearest the region, or None (no direct peering)."""
+        key = ("mirror", cloud, region_name, carrier)
+        if key in self._segments:
+            return self._segments[key]
+        mirrors = self.client_other_egress.get((cloud, carrier))
+        icx_id = None
+        if mirrors:
+            store = self._icx_store(cloud)
+            region_metro = self.regions[cloud][region_name].metro_code
+            icx_id = min(
+                mirrors,
+                key=lambda i: self.catalog.distance_km(
+                    region_metro, store[i].metro_code
+                ),
+            )
+        self._segments[key] = icx_id
+        return icx_id
 
     def _transit_path(
         self,
         cloud: str,
         region_name: str,
-        base: List[PlanHop],
-        route: Slash24Route,
+        base: Tuple[PlanHop, ...],
+        carrier: ASN,
+        chain: Tuple[PlanHop, ...],
         dst: IPv4,
+        dest_responds: bool,
     ) -> PathPlan:
         """Path through a transit provider (no direct cloud<->client peering).
 
@@ -307,56 +388,41 @@ class World:
         client's border router answers with its transit-facing interface,
         which never collides with an Amazon CBI (§7.1's soundness case).
         """
-        hops = list(base)
-        border = self.cloud_border_hops.get((cloud, region_name))
-        if border is not None:
-            hops.append(border)
-        transit = self.transit_hops.get((cloud, region_name))
-        if transit is not None:
-            hops.append(transit)
-        entry = self.client_transit_iface.get(route.carrier_asn)
-        if entry is not None:
-            rid, ip = entry
-            router = self.routers[rid]
-            hops.append(
-                PlanHop(
-                    router_id=rid,
-                    ip=ip,
-                    metro_code=router.metro_code or "IAD",
-                    responsiveness=router.responsiveness,
+        key = ("transit", cloud, region_name, carrier)
+        legs = self._segments.get(key)
+        if legs is None:
+            legs = ()
+            border = self.cloud_border_hops.get((cloud, region_name))
+            if border is not None:
+                legs += (border,)
+            transit = self.transit_hops.get((cloud, region_name))
+            if transit is not None:
+                legs += (transit,)
+            entry = self.client_transit_iface.get(carrier)
+            if entry is not None:
+                rid, ip = entry
+                router = self.routers[rid]
+                legs += (
+                    PlanHop(rid, ip, router.metro_code or "IAD", router.responsiveness),
                 )
-            )
-        hops.extend(self._chain_hops(route.chain_router_ids))
-        return PathPlan(
-            hops=hops,
-            dest_ip=dst,
-            dest_responds=route.dest_response_p > 0.0,
-            exits_cloud=True,
-            icx_id=None,
-        )
+            self._segments[key] = legs
+        return PathPlan(base + legs + chain, dst, dest_responds, True)
 
-    def resolve_path(
-        self, cloud: str, region_name: str, dst: IPv4, snapshot: str = "r1"
-    ) -> PathPlan:
+    def resolve_path(self, cloud: str, region_name: str, dst: IPv4) -> PathPlan:
         """Forwarding decision for a probe from ``region_name`` to ``dst``.
 
-        ``snapshot`` is accepted for symmetry with annotation but routing
-        does not depend on it: Amazon routes to connected interconnect
-        subnets whether or not they are publicly announced.
+        Routing does not depend on the BGP snapshot: Amazon routes to
+        connected interconnect subnets whether or not they are publicly
+        announced.
         """
-        region = self.regions[cloud][region_name]
-        base: List[PlanHop] = [
-            PlanHop(router_id=rid, ip=ip, metro_code=region.metro_code)
-            for rid, ip in region.internal_path
-        ]
-
-        if is_private(dst) or is_shared(dst):
-            return PathPlan(hops=base[:1], dest_ip=dst, dest_responds=False, exits_cloud=False)
+        base = self._base_hops(cloud, region_name)
+        if is_private_or_shared(dst):
+            return PathPlan(base[:1], dst, False, False)
 
         # 1. connected interconnect subnets (most specific; routed even
         #    when the covering block is absent from BGP).
         icx_id = self._lookup_icx_for_infra(cloud, dst)
-        chain: Tuple[int, ...] = ()
+        chain: Tuple[PlanHop, ...] = ()
         dest_p = 0.0
         if icx_id is None and cloud != "amazon":
             # A probe from another cloud toward an Amazon-facing port
@@ -367,99 +433,76 @@ class World:
                 icx_id = self.mirror_of.get((cloud, amazon_icx))
         if icx_id is None:
             # 2. instantiated /24 routes (the hot path).
-            route = self.routes.get(dst & 0xFFFFFF00)
+            net = dst & 0xFFFFFF00
+            route = self.routes.get(net)
             if route is None:
                 # 3. fall back to the allocation registry.
                 return self._registry_path(cloud, region_name, dst, base)
+            chain = self._chain_hops(net, route)
             if cloud == "amazon":
                 icx_id = route.egress_by_region.get(region_name)
             else:
-                mirrors = self.client_other_egress.get((cloud, route.carrier_asn))
-                if not mirrors:
-                    return self._transit_path(cloud, region_name, base, route, dst)
-                store = self._icx_store(cloud)
-                region_metro = self.regions[cloud][region_name].metro_code
-                icx_id = min(
-                    mirrors,
-                    key=lambda i: self.catalog.distance_km(
-                        region_metro, store[i].metro_code
-                    ),
-                )
-            chain = route.chain_router_ids
+                icx_id = self._mirror_egress(cloud, region_name, route.carrier_asn)
+                if icx_id is None:
+                    return self._transit_path(
+                        cloud, region_name, base, route.carrier_asn, chain,
+                        dst, route.dest_response_p > 0.0,
+                    )
             dest_p = route.dest_response_p
 
         if icx_id is None:
             # No route: the probe dies inside the cloud backbone.
-            return PathPlan(hops=base, dest_ip=dst, dest_responds=False, exits_cloud=False)
+            return PathPlan(base, dst, False, False)
 
-        store = self._icx_store(cloud)
-        icx = store.get(icx_id)
+        icx = self._icx_store(cloud).get(icx_id)
         if icx is None or icx.uses_private_addresses:
             # Private-address VPIs are isolated in the customer's VPC and
             # invisible to probes from any other customer's VM (§2, §9).
-            return PathPlan(hops=base, dest_ip=dst, dest_responds=False, exits_cloud=False)
+            return PathPlan(base, dst, False, False)
 
-        hops = list(base)
-        hops.extend(self._tail_for(cloud, region_name, icx_id, dst))
-        hops.append(self._cbi_hop(icx))
-        hops.extend(self._chain_hops(chain))
         return PathPlan(
-            hops=hops,
-            dest_ip=dst,
-            dest_responds=_stable_response(dst, dest_p),
-            exits_cloud=True,
-            icx_id=icx_id,
+            base + self._tail_for(cloud, region_name, icx, dst) + chain,
+            dst,
+            _stable_response(dst, dest_p),
+            True,
+            icx_id,
         )
 
     def _registry_path(
-        self, cloud: str, region_name: str, dst: IPv4, base: List[PlanHop]
+        self, cloud: str, region_name: str, dst: IPv4, base: Tuple[PlanHop, ...]
     ) -> PathPlan:
         """Path for destinations with no /24 route: cloud space, announced
         client space without instantiated /24s, or dead space."""
         alloc = self.plan.owner_of(dst)
         if alloc is None:
-            return PathPlan(hops=base, dest_ip=dst, dest_responds=False, exits_cloud=False)
+            return PathPlan(base, dst, False, False)
         if alloc.category == "cloud":
             if alloc.holder_name == cloud:
-                return PathPlan(hops=base, dest_ip=dst, dest_responds=False, exits_cloud=False)
+                return PathPlan(base, dst, False, False)
             # Another cloud's space: one hop into that cloud, then opaque.
-            hops = list(base)
             border = self.cloud_border_hops.get((cloud, region_name))
-            if border is not None:
-                hops.append(border)
-            return PathPlan(hops=hops, dest_ip=dst, dest_responds=False, exits_cloud=True)
+            hops = base + (border,) if border is not None else base
+            return PathPlan(hops, dst, False, True)
         if alloc.category in ("client", "infra"):
             carrier = self.asn_carrier.get(alloc.owner_asn)
             if carrier is None:
-                return PathPlan(
-                    hops=base, dest_ip=dst, dest_responds=False, exits_cloud=False
-                )
+                return PathPlan(base, dst, False, False)
             if cloud != "amazon":
-                pseudo = Slash24Route(
-                    prefix=Prefix.of(dst, 24),
-                    owner_asn=alloc.owner_asn,
-                    serving_icx_ids=(),
-                    egress_by_region={},
-                    chain_router_ids=(),
-                    dest_response_p=0.0,
-                    carrier_asn=carrier,
+                return self._transit_path(
+                    cloud, region_name, base, carrier, (), dst, False
                 )
-                return self._transit_path(cloud, region_name, base, pseudo, dst)
             icx_id = self.client_default_egress.get((carrier, region_name))
             if icx_id is not None:
                 icx = self.interconnections.get(icx_id)
                 if icx is not None and not icx.uses_private_addresses:
-                    hops = list(base)
-                    hops.extend(self._tail_for(cloud, region_name, icx_id, dst))
-                    hops.append(self._cbi_hop(icx))
                     return PathPlan(
-                        hops=hops,
-                        dest_ip=dst,
-                        dest_responds=False,
-                        exits_cloud=True,
-                        icx_id=icx_id,
+                        base + self._tail_for(cloud, region_name, icx, dst),
+                        dst,
+                        False,
+                        True,
+                        icx_id,
                     )
-        return PathPlan(hops=base, dest_ip=dst, dest_responds=False, exits_cloud=False)
+        return PathPlan(base, dst, False, False)
 
     # ------------------------------------------------------------------
     # latency ground truth (consumed by the ping prober)

@@ -10,10 +10,12 @@ pure function of the fault seed -- never of the execution schedule.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
+from repro.fsutil import read_records
 from repro.measure.campaign import round1_targets
 from repro.measure.checkpoint import CampaignCheckpoint, CheckpointStore
 from repro.measure.executor import (
@@ -504,6 +506,43 @@ class TestCheckpointResume:
         assert _journal_fingerprint(
             tiny_world, probe_space, FaultPlan(seed=2, region_loss={"*": 0.1})
         ) == "4047d9975036715c86926b676f88708a1c2e24da4eb1bb3271333646cbe6d37d"
+
+    @pytest.mark.parametrize(
+        "faults, expected",
+        [
+            (None, "a6306eebec89b184c0236f2c86a925a52a3aae41d8ad0441eec6283e40a36ef3"),
+            (
+                FaultPlan(seed=2, region_loss={"*": 0.1}),
+                "d98d21908d08269f4d0c3b39c8c8991cee61085ac5d897d8700cd0c15f6d8c2d",
+            ),
+        ],
+    )
+    def test_journal_rows_are_pinned(
+        self, tiny_world, probe_space, tmp_path, faults, expected
+    ):
+        """A resumed run replays journalled rows as traces, so their
+        content is pinned too: a change to the hop type or the wire tuple
+        that moved it would replay journals on disk as traces a fresh run
+        no longer produces, under the same fingerprint."""
+        targets, regions = probe_space
+        _run(
+            tiny_world, targets, regions, faults=faults, shard_size=4,
+            checkpoint_store=CheckpointStore(tmp_path, resume=False),
+        )
+        records = read_records(
+            tmp_path / "campaign.jsonl",
+            _journal_fingerprint(tiny_world, probe_space, faults),
+        )
+        # Element 2 of a packed shard is its wall-clock seconds.
+        content = [
+            (r["shard"], r["packed"][0], r["packed"][1], r["packed"][3])
+            for r in records
+        ]
+        assert len(content) == len(plan_shards(regions, targets, 4))
+        digest = hashlib.sha256(
+            json.dumps(content, separators=(",", ":")).encode()
+        ).hexdigest()
+        assert digest == expected
 
     def test_store_sanitizes_labels(self, tmp_path):
         store = CheckpointStore(tmp_path)
