@@ -67,7 +67,7 @@ from repro.obs import (
 from repro.world.build import WorldConfig, build_world
 from repro.world.model import World
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "AmazonPeeringStudy",

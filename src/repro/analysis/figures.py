@@ -94,10 +94,13 @@ def _quantile(ordered: List[float], q: float) -> float:
     pos = q * (len(ordered) - 1)
     lo = int(math.floor(pos))
     hi = int(math.ceil(pos))
-    if lo == hi:
-        return ordered[lo]
+    low, high = ordered[lo], ordered[hi]
+    if lo == hi or low == high:
+        return low
     frac = pos - lo
-    return ordered[lo] * (1 - frac) + ordered[hi] * frac
+    # The weighted sum can round outside [low, high]: on subnormals
+    # (5e-324 * 0.5 underflows to 0.0) or at float extremes.
+    return min(max(low * (1 - frac) + high * frac, low), high)
 
 
 def box_stats(values: Sequence[float]) -> BoxStats:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Mapping, Union
+from typing import Any, Dict, Union
 
 #: Bump when the report shape changes; ``--compare`` refuses to diff
 #: reports with different schemas.
@@ -123,10 +123,6 @@ class BenchReport:
             timings={k: float(v) for k, v in data["timings"].items()},
             schema=data["schema"],
         )
-
-    def params_key(self) -> Mapping[str, Any]:
-        """The comparable identity of this run (scenario + params)."""
-        return {"scenario": self.scenario, "params": self.params}
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@
     python -m repro --scale 0.1 --expansion-stride 4 --with-bdrmap
     python -m repro --trace-out trace.json            # Perfetto-loadable trace
     python -m repro trace trace.json                  # self-time + probe funnel
-    python -m repro lint src/repro          # determinism & purity auditor
+    python -m repro audit                   # layering, lockfiles, REP rules
 """
 
 from __future__ import annotations
@@ -235,15 +235,9 @@ def _percent(part: int, whole: int) -> str:
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "lint":
-        # Subcommand dispatch: `repro lint [paths...]` runs the
-        # determinism & purity auditor instead of the study.
-        from repro.devtools.reprolint import main as lint_main
-
-        return lint_main(argv[1:])
     if argv and argv[0] == "audit":
-        # `repro audit` runs the whole-program auditor: import-graph
-        # layering plus the schema and API lockfile passes.
+        # `repro audit` runs the static checker: import-graph layering,
+        # the schema and API lockfiles, and the REP determinism rules.
         from repro.devtools.audit.driver import main as audit_main
 
         return audit_main(argv[1:])
@@ -273,7 +267,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if pre_args.config:
         try:
             file_config = StudyConfig.from_file(pre_args.config)
-        except (OSError, RuntimeError, TypeError, ValueError) as exc:
+        except (OSError, TypeError, ValueError) as exc:
             parser.error(f"--config: {exc}")
         parser.set_defaults(**_config_defaults(file_config))
     args = parser.parse_args(argv)

@@ -23,14 +23,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import tomllib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Union
-
-try:  # stdlib on Python >= 3.11; config files degrade gracefully below.
-    import tomllib
-except ImportError:  # pragma: no cover - depends on interpreter version
-    tomllib = None  # type: ignore[assignment]
 
 from repro.datasets.datafaults import DataFaultPlan
 from repro.measure.faults import FaultPlan
@@ -189,10 +185,6 @@ class StudyConfig:
     @classmethod
     def from_toml(cls, text: str) -> "StudyConfig":
         """Parse a TOML document of flat ``key = value`` config entries."""
-        if tomllib is None:
-            raise RuntimeError(
-                "TOML config files need the stdlib tomllib (Python >= 3.11)"
-            )
         return cls.from_mapping(tomllib.loads(text))
 
     @classmethod

@@ -53,10 +53,6 @@ class InterfaceConnectivityGraph:
 
     # ------------------------------------------------------------------
 
-    def is_bipartite(self) -> bool:
-        """ABIs and CBIs must be disjoint node sets."""
-        return not (self.abis & self.cbis)
-
     def abi_degree(self, abi: IPv4) -> int:
         return len(self._abi_neighbors.get(abi, ()))
 

@@ -38,12 +38,6 @@ class HeuristicOutcome:
     #: floor -- flagged, not removed (the digest is unchanged).
     low_confidence_abis: Set[IPv4] = field(default_factory=set)
 
-    def confirmed_cbis(self, observatory: BorderObservatory) -> Set[IPv4]:
-        out: Set[IPv4] = set()
-        for abi in self.confirmed_abis:
-            out.update(observatory.cbis_of_abi(abi))
-        return out
-
 
 HEURISTIC_ORDER = ("ixp", "hybrid", "reachable")
 

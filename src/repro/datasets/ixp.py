@@ -35,7 +35,6 @@ class IXPDirectory:
         prefixes: List[Tuple[Prefix, int]],
         members: Dict[IPv4, Tuple[int, ASN]],
         cities: Dict[int, Tuple[str, ...]],
-        names: Dict[int, str],
         conflicts: Optional[Mapping[IPv4, Tuple[ASN, ASN]]] = None,
     ) -> None:
         self._prefix_by_net: Dict[int, Tuple[Prefix, int]] = {}
@@ -44,7 +43,6 @@ class IXPDirectory:
                 self._prefix_by_net[p24.network] = (prefix, ixp_id)
         self._members = members
         self._cities = cities
-        self._names = names
         #: ip -> (PeeringDB ASN, conflicting ASN from the other source)
         self._conflicts: Dict[IPv4, Tuple[ASN, ASN]] = dict(conflicts or {})
 
@@ -79,9 +77,6 @@ class IXPDirectory:
     def cities_of(self, ixp_id: int) -> Tuple[str, ...]:
         return self._cities.get(ixp_id, ())
 
-    def name_of(self, ixp_id: int) -> str:
-        return self._names.get(ixp_id, f"ixp-{ixp_id}")
-
     def is_multi_metro(self, ixp_id: int) -> bool:
         return len(self._cities.get(ixp_id, ())) > 1
 
@@ -102,7 +97,6 @@ def ixp_directory_from_world(
     """Merge PeeringDB's view with a PCH-style supplement."""
     prefixes = [(x.prefix, x.ixp_id) for x in peeringdb.ixps]
     cities = {x.ixp_id: x.cities for x in peeringdb.ixps}
-    names = {x.ixp_id: x.name for x in peeringdb.ixps}
     pdb_members: Dict[IPv4, Tuple[int, ASN]] = {
         n.ip: (n.ixp_id, n.asn) for n in peeringdb.netixlans
     }
@@ -130,4 +124,4 @@ def ixp_directory_from_world(
 
     members = dict(pch_members)
     members.update(pdb_members)  # PeeringDB wins where the sources overlap
-    return IXPDirectory(prefixes, members, cities, names, conflicts=conflicts)
+    return IXPDirectory(prefixes, members, cities, conflicts=conflicts)

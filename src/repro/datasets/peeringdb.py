@@ -60,12 +60,6 @@ class PeeringDB:
 
     # -- IXP queries -----------------------------------------------------
 
-    def ixp_of_ip(self, ip: IPv4) -> Optional[PDBIXP]:
-        for ixp in self.ixps:
-            if ip in ixp.prefix:
-                return ixp
-        return None
-
     def member_of_ip(self, ip: IPv4) -> Optional[PDBNetixlan]:
         return self._member_by_ip.get(ip)
 

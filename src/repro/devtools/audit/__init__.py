@@ -1,38 +1,20 @@
-"""repro audit: the whole-program architecture & contract auditor.
+"""repro audit: the whole-program passes and the CLI that runs them.
 
-``reprolint`` (:mod:`repro.devtools.reprolint`) audits determinism
-*within* a file; this package audits the *whole program*, in three
-passes over the same parsed tree:
+One walk of the package root parses each file once
+(:mod:`repro.devtools.source`), and every pass reads that parse:
 
 * :mod:`~repro.devtools.audit.importgraph` -- the intra-package import
   DAG against the declared layering in ``[tool.reproaudit]`` (cycles,
   forbidden edges, layer-skipping imports, with a
   ``# reproaudit: allow-edge -- justification`` escape hatch);
 * :mod:`~repro.devtools.audit.schemalock` -- every serialized surface
-  (StageStore codec, checkpoint journal, shard wire tuple, bench
-  report, span records) against the committed ``schemas.lock.json``;
+  (record files, shard wire tuple, bench report, span records) against
+  the committed ``schemas.lock.json``;
 * :mod:`~repro.devtools.audit.apilock` -- the public API of the runtime
-  packages against the committed ``api.lock.json``.
+  packages against the committed ``api.lock.json``;
+* the per-file REP determinism rules (:mod:`repro.devtools.reprolint`).
 
 :mod:`~repro.devtools.audit.driver` wires them behind ``repro audit``
-with the same exit-code contract as ``repro lint`` (0 clean, 1
-findings, 2 usage/config errors or unparseable source).
+(exit 0 clean, 1 findings, 2 usage/config errors or unparseable
+source).
 """
-
-from repro.devtools.audit.driver import (
-    AUDIT_RULES,
-    AuditConfig,
-    DEFAULT_AUDIT_CONFIG,
-    load_audit_config,
-    main,
-    run_audit,
-)
-
-__all__ = [
-    "AUDIT_RULES",
-    "AuditConfig",
-    "DEFAULT_AUDIT_CONFIG",
-    "load_audit_config",
-    "main",
-    "run_audit",
-]

@@ -18,11 +18,10 @@ visible in the diff of ``api.lock.json``.
 from __future__ import annotations
 
 import ast
-import os
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.devtools.config import parse_python
 from repro.devtools.rules import Finding
+from repro.devtools.source import SourceTree
 
 __all__ = ["API_LOCK_VERSION", "extract_api"]
 
@@ -54,42 +53,34 @@ def _public_defs(tree: ast.Module) -> List[str]:
 
 
 def extract_api(
-    root: str,
-    package_root: str = "src/repro",
-    packages: Tuple[str, ...] = ("bench", "core", "datasets", "measure", "obs"),
+    source: SourceTree, packages: Tuple[str, ...]
 ) -> Tuple[Dict[str, Any], List[Finding]]:
     """The public surface of each audited package, plus findings."""
     findings: List[Finding] = []
     surface: Dict[str, Any] = {"version": API_LOCK_VERSION}
     for package in sorted(packages):
-        pkg_dir = os.path.join(root, package_root, package)
+        pkg_dir = f"{source.package_root}/{package}/"
         entry: Dict[str, Any] = {"all": None, "modules": {}}
-        try:
-            listing = sorted(os.listdir(pkg_dir))
-        except OSError as exc:
+        names = [
+            rel[len(pkg_dir) :]
+            for rel in source.files
+            if rel.startswith(pkg_dir) and "/" not in rel[len(pkg_dir) :]
+        ]
+        if not names:
             findings.append(
                 Finding(
                     code="API002",
-                    path=f"{package_root}/{package}",
+                    path=pkg_dir.rstrip("/"),
                     line=1,
                     col=0,
-                    message=f"audited package unreadable: {exc}",
+                    message="audited package has no modules",
                     fix_hint="restore the package or update "
                     "[tool.reproaudit]'s api_packages",
                 )
             )
-            surface[package] = entry
-            continue
-        for name in listing:
-            if not name.endswith(".py"):
-                continue
-            rel = f"{package_root}/{package}/{name}"
-            with open(os.path.join(root, rel), encoding="utf-8") as fh:
-                source = fh.read()
-            tree, failure = parse_python(source, rel, "AUD001")
+        for name in names:
+            tree = source.module(pkg_dir + name)
             if tree is None:
-                if failure is not None:
-                    findings.append(failure)
                 continue
             if name == "__init__.py":
                 entry["all"] = _module_all(tree)

@@ -1,14 +1,14 @@
-"""The ``repro audit`` CLI: config, pass orchestration, and reporting.
+"""The ``repro audit`` CLI: one walk, every pass, one report.
 
-Follows reprolint's driver pattern exactly -- a frozen config mirrored
-from ``pyproject.toml`` (``[tool.reproaudit]``), text/JSON renderers
-shared via :mod:`repro.devtools.report`, and the exit-code contract
-0 clean / 1 findings / 2 usage, config, or parse errors::
+Configured by ``[tool.reproaudit]`` in ``pyproject.toml``
+(:mod:`repro.devtools.config`), rendered as GCC-style text or JSON,
+with the exit-code contract 0 clean / 1 findings / 2 usage or config
+errors or unparseable source::
 
     PYTHONPATH=src python -m repro audit
     PYTHONPATH=src python -m repro audit --format json
     PYTHONPATH=src python -m repro audit --update-locks
-    PYTHONPATH=src python -m repro audit --with-lint   # + reprolint findings
+    PYTHONPATH=src python -m repro audit --list-rules
 
 ``--update-locks`` rewrites ``schemas.lock.json`` / ``api.lock.json``
 to match the live tree, which is the one sanctioned way to change a
@@ -22,8 +22,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.devtools.audit.apilock import extract_api
 from repro.devtools.audit.importgraph import build_graph, check_layering
@@ -32,242 +31,12 @@ from repro.devtools.audit.schemalock import (
     diff_locked,
     extract_schemas,
 )
-from repro.devtools.config import load_tool_section
-from repro.devtools.report import render_json, render_text
-from repro.devtools.rules import RULES, Finding, RuleSpec
+from repro.devtools.config import AuditConfig, load_audit_config
+from repro.devtools.reprolint import check_file
+from repro.devtools.rules import RULES, Finding
+from repro.devtools.source import SourceTree, load_tree
 
-__all__ = [
-    "AUDIT_RULES",
-    "AuditConfig",
-    "DEFAULT_AUDIT_CONFIG",
-    "load_audit_config",
-    "main",
-    "run_audit",
-]
-
-
-def _spec(code: str, title: str, rationale: str, fix_hint: str) -> RuleSpec:
-    # Audit findings come from whole-program passes, not per-file
-    # checkers, so the RuleSpec carries identity only.
-    return RuleSpec(
-        code=code,
-        title=title,
-        rationale=rationale,
-        fix_hint=fix_hint,
-        check=lambda ctx: [],
-    )
-
-
-AUDIT_RULES: Mapping[str, RuleSpec] = {
-    spec.code: spec
-    for spec in (
-        _spec(
-            "AUD000",
-            "unjustified allow-edge comment",
-            "an escape hatch without a recorded reason is an undocumented "
-            "architecture exception",
-            "append ` -- <justification>` or remove the import",
-        ),
-        _spec(
-            "AUD001",
-            "unparseable source file",
-            "a file the auditor cannot parse is a file no contract covers",
-            "fix the syntax error; AST-based checks need a valid parse",
-        ),
-        _spec(
-            "ARC001",
-            "runtime import cycle",
-            "cycles make import order load-bearing and undermine the "
-            "layering the inference chain depends on",
-            "break the cycle with a TYPE_CHECKING or function-level import",
-        ),
-        _spec(
-            "ARC002",
-            "forbidden cross-layer import",
-            "an edge outside the declared may_import lists couples layers "
-            "the architecture keeps apart",
-            "move the shared code down a layer or invert the dependency",
-        ),
-        _spec(
-            "ARC003",
-            "layer-skipping import",
-            "the dependency exists but bypasses the declared seam, hiding "
-            "it from the layer in between",
-            "route through the intermediate layer or declare the direct "
-            "edge in may_import",
-        ),
-        _spec(
-            "ARC004",
-            "module assigned to no layer",
-            "an unassigned module is exempt from the whole contract",
-            "add its package to a layer in [tool.reproaudit.layers]",
-        ),
-        _spec(
-            "SCH001",
-            "schema lockfile missing",
-            "without schemas.lock.json no serialized surface is pinned",
-            "run `repro audit --update-locks` and commit the lockfile",
-        ),
-        _spec(
-            "SCH002",
-            "serialized schema drifted from lockfile",
-            "checkpoints, shard wire tuples, bench reports, and span rows "
-            "outlive the process that wrote them; silent drift breaks "
-            "resume and regression gating",
-            "if intended, run `repro audit --update-locks` and commit the "
-            "lockfile diff alongside the change",
-        ),
-        _spec(
-            "SCH003",
-            "schema surface not statically extractable",
-            "a surface the auditor cannot see is a surface it cannot pin",
-            "keep the serialization sites in their documented shapes",
-        ),
-        _spec(
-            "API001",
-            "API lockfile missing",
-            "without api.lock.json the public surface is unpinned",
-            "run `repro audit --update-locks` and commit the lockfile",
-        ),
-        _spec(
-            "API002",
-            "public API drifted from lockfile",
-            "renamed or removed public names break downstream callers "
-            "without a visible diff",
-            "if intended, run `repro audit --update-locks` and commit the "
-            "lockfile diff alongside the change",
-        ),
-    )
-}
-
-
-@dataclass(frozen=True)
-class AuditConfig:
-    """The whole-program contract, mirrored from ``[tool.reproaudit]``."""
-
-    root: str = "."
-    package_root: str = "src/repro"
-    schema_lock: str = "schemas.lock.json"
-    api_lock: str = "api.lock.json"
-    api_packages: Tuple[str, ...] = (
-        "bench",
-        "core",
-        "datasets",
-        "measure",
-        "obs",
-    )
-    layer_modules: Mapping[str, Tuple[str, ...]] = field(default_factory=dict)
-    may_import: Mapping[str, Tuple[str, ...]] = field(default_factory=dict)
-
-
-#: The repo's layering, mirrored from ``pyproject.toml`` so the tool
-#: behaves identically without one (kept in sync by tests/test_audit.py).
-#: ``util`` (errors.py, fsutil.py) sits under everything; ``obs`` is
-#: instrumentation importable from the measurement plane up; ``app``
-#: (cli, package root) may import anything; ``devtools`` sees only
-#: ``util`` -- the auditors never couple to the runtime they audit.
-_DEFAULT_LAYERS: Mapping[str, Mapping[str, Tuple[str, ...]]] = {
-    "util": {
-        "modules": ("repro.errors", "repro.fsutil"),
-        "may_import": (),
-    },
-    "net": {"modules": ("repro.net",), "may_import": ("util",)},
-    "obs": {"modules": ("repro.obs",), "may_import": ("util",)},
-    "world": {"modules": ("repro.world",), "may_import": ("net", "util")},
-    "datasets": {
-        "modules": ("repro.datasets",),
-        "may_import": ("world", "net", "util"),
-    },
-    "measure": {
-        "modules": ("repro.measure",),
-        "may_import": ("datasets", "world", "net", "obs", "util"),
-    },
-    "core": {
-        "modules": ("repro.core",),
-        "may_import": ("measure", "datasets", "world", "net", "obs", "util"),
-    },
-    "analysis": {
-        "modules": ("repro.analysis",),
-        "may_import": ("core", "datasets", "world", "net", "util"),
-    },
-    "bdrmap": {
-        "modules": ("repro.bdrmap",),
-        "may_import": ("core", "measure", "datasets", "world", "net", "util"),
-    },
-    "bench": {
-        "modules": ("repro.bench",),
-        "may_import": (
-            "core",
-            "measure",
-            "datasets",
-            "world",
-            "net",
-            "obs",
-            "util",
-        ),
-    },
-    "devtools": {"modules": ("repro.devtools",), "may_import": ("util",)},
-    "app": {
-        "modules": ("repro",),
-        "may_import": (
-            "analysis",
-            "bdrmap",
-            "bench",
-            "core",
-            "datasets",
-            "devtools",
-            "measure",
-            "net",
-            "obs",
-            "world",
-            "util",
-        ),
-    },
-}
-
-DEFAULT_AUDIT_CONFIG = AuditConfig(
-    layer_modules={
-        name: tuple(spec["modules"]) for name, spec in _DEFAULT_LAYERS.items()
-    },
-    may_import={
-        name: tuple(spec["may_import"])
-        for name, spec in _DEFAULT_LAYERS.items()
-    },
-)
-
-
-def load_audit_config(pyproject_path: Optional[str] = None) -> AuditConfig:
-    """Read ``[tool.reproaudit]``, or fall back to the builtin mirror."""
-    section, root = load_tool_section("reproaudit", pyproject_path)
-    if section is None:
-        return DEFAULT_AUDIT_CONFIG
-    layers = section.get("layers", {})
-    return AuditConfig(
-        root=root,
-        package_root=str(
-            section.get("package_root", DEFAULT_AUDIT_CONFIG.package_root)
-        ),
-        schema_lock=str(
-            section.get("schema_lock", DEFAULT_AUDIT_CONFIG.schema_lock)
-        ),
-        api_lock=str(section.get("api_lock", DEFAULT_AUDIT_CONFIG.api_lock)),
-        api_packages=tuple(
-            section.get("api_packages", DEFAULT_AUDIT_CONFIG.api_packages)
-        ),
-        layer_modules={
-            name: tuple(spec.get("modules", ()))
-            for name, spec in layers.items()
-        },
-        may_import={
-            name: tuple(spec.get("may_import", ()))
-            for name, spec in layers.items()
-        },
-    )
-
-
-# ----------------------------------------------------------------------
-# pass orchestration
-# ----------------------------------------------------------------------
+__all__ = ["main", "render_json", "render_text", "run_audit"]
 
 
 def _load_lock(path: str) -> Optional[Any]:
@@ -286,32 +55,50 @@ def _schema_surface_paths(package_root: str) -> Dict[str, str]:
     }
 
 
+def _check_rules(source: SourceTree, config: AuditConfig) -> List[Finding]:
+    """The per-file REP rules over every parsed file, as scoped."""
+    findings: List[Finding] = []
+    for parsed in source.files.values():
+        codes = config.codes_for(parsed.path)
+        if parsed.tree is None or not codes:
+            continue
+        findings.extend(
+            check_file(
+                parsed.path,
+                parsed.tree,
+                parsed.lines,
+                codes,
+                strict_clocks=config.strict_clocks(parsed.path),
+            )
+        )
+    return findings
+
+
 def run_audit(
-    config: Optional[AuditConfig] = None,
-    *,
-    update_locks: bool = False,
+    config: AuditConfig, *, update_locks: bool = False
 ) -> Tuple[List[Finding], int]:
-    """Run all three passes; returns (findings, modules_checked).
+    """Run every pass over one parse of the tree; (findings, files).
 
     With ``update_locks=True`` both lockfiles are rewritten from the
-    live tree instead of being diffed against it (layering findings are
-    still reported -- a lock update must not launder a forbidden edge).
+    live tree instead of being diffed against it (every other finding
+    is still reported -- a lock update must not launder a forbidden
+    edge).  A tree with an unparseable file skips both lockfile passes:
+    its surfaces are partial, so a diff would report the broken module
+    again as drift and an update would drop it from the lockfiles.
     """
-    config = config or DEFAULT_AUDIT_CONFIG
-    findings: List[Finding] = []
-
-    graph = build_graph(config.root, config.package_root)
+    source = load_tree(config.root, config.package_root)
+    findings: List[Finding] = list(source.failures)
     findings.extend(
-        check_layering(graph, config.layer_modules, config.may_import)
+        check_layering(
+            build_graph(source), config.layer_modules, config.may_import
+        )
     )
-
-    live_schemas, schema_findings = extract_schemas(
-        config.root, config.package_root
-    )
+    findings.extend(_check_rules(source, config))
+    if source.failures:
+        return findings, len(source.files)
+    live_schemas, schema_findings = extract_schemas(source)
     findings.extend(schema_findings)
-    live_api, api_findings = extract_api(
-        config.root, config.package_root, config.api_packages
-    )
+    live_api, api_findings = extract_api(source, config.api_packages)
     findings.extend(api_findings)
 
     schema_lock_path = os.path.join(config.root, config.schema_lock)
@@ -375,7 +162,60 @@ def run_audit(
                     "audit --update-locks` and commit the lockfile diff",
                 )
             )
-    return findings, len(graph.modules)
+    return findings, len(source.files)
+
+
+# ----------------------------------------------------------------------
+# reporting
+# ----------------------------------------------------------------------
+
+
+def _summarize(findings: Sequence[Finding]) -> Dict[str, int]:
+    """Finding count per rule code, sorted by code."""
+    counts: Dict[str, int] = {}
+    for finding in sorted(findings, key=lambda f: f.code):
+        counts[finding.code] = counts.get(finding.code, 0) + 1
+    return counts
+
+
+def render_text(findings: Sequence[Finding], *, files_checked: int = 0) -> str:
+    """GCC-style ``path:line:col: CODE message`` lines plus a summary."""
+    ordered = sorted(findings, key=lambda f: (f.path, f.line, f.col, f.code))
+    lines: List[str] = []
+    for f in ordered:
+        lines.append(f"{f.path}:{f.line}:{f.col}: {f.code} {f.message}")
+        lines.append(f"    hint: {f.fix_hint}")
+    if findings:
+        per_rule = ", ".join(
+            f"{code} x{count}" for code, count in _summarize(findings).items()
+        )
+        lines.append("")
+        lines.append(
+            f"reproaudit: {len(findings)} finding(s) in "
+            f"{len({f.path for f in findings})} file(s) "
+            f"({files_checked} checked): {per_rule}"
+        )
+    else:
+        lines.append(f"reproaudit: clean ({files_checked} file(s) checked)")
+    return "\n".join(lines)
+
+
+def render_json(findings: Sequence[Finding], *, files_checked: int = 0) -> str:
+    """Stable machine-readable output for CI annotation tooling."""
+    ordered = sorted(findings, key=lambda f: (f.path, f.line, f.col, f.code))
+    counts = _summarize(findings)
+    payload = {
+        "version": 1,
+        "tool": "reproaudit",
+        "files_checked": files_checked,
+        "counts": counts,
+        "rules": {
+            code: {"title": RULES[code].title, "rationale": RULES[code].rationale}
+            for code in counts
+        },
+        "findings": [f.as_dict() for f in ordered],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 # ----------------------------------------------------------------------
@@ -387,9 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro audit",
         description=(
-            "Whole-program auditor: import-graph layering, serialized-"
-            "schema lockfile, and public-API lockfile (see DESIGN.md "
-            "'Architecture & schema contracts')"
+            "Static auditor: import-graph layering, serialized-schema and "
+            "public-API lockfiles, and the REP determinism rules (see "
+            "DESIGN.md 6.1 and 6.5)"
         ),
     )
     parser.add_argument(
@@ -404,18 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PYPROJECT",
         help="pyproject.toml to read [tool.reproaudit] from "
-        "(default: ./pyproject.toml if present)",
+        "(default: ./pyproject.toml)",
     )
     parser.add_argument(
         "--update-locks",
         action="store_true",
         help="rewrite schemas.lock.json and api.lock.json from the live "
         "tree instead of diffing against them",
-    )
-    parser.add_argument(
-        "--with-lint",
-        action="store_true",
-        help="also run repro lint and fold its findings into one report",
     )
     parser.add_argument(
         "--list-rules",
@@ -426,51 +261,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.list_rules:
-        for code in sorted(AUDIT_RULES):
-            spec = AUDIT_RULES[code]
+        for code, spec in sorted(RULES.items()):
             print(f"{code}  {spec.title}")
             print(f"        why: {spec.rationale}")
             print(f"        fix: {spec.fix_hint}")
         return 0
     try:
         config = load_audit_config(args.config)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"repro audit: cannot read config: {exc}", file=sys.stderr)
         return 2
     findings, files_checked = run_audit(
         config, update_locks=args.update_locks
     )
-    catalog: Dict[str, RuleSpec] = dict(AUDIT_RULES)
-    if args.with_lint:
-        from repro.devtools.reprolint import lint_paths, load_config
-
-        try:
-            lint_config = load_config(args.config)
-        except OSError as exc:
-            print(f"repro audit: cannot read config: {exc}", file=sys.stderr)
-            return 2
-        lint_findings, lint_files = lint_paths(config=lint_config)
-        findings.extend(lint_findings)
-        files_checked = max(files_checked, lint_files)
-        catalog.update(RULES)
-    if args.format == "json":
-        print(
-            render_json(
-                findings,
-                files_checked=files_checked,
-                tool="reproaudit",
-                catalog=catalog,
-            )
-        )
-    else:
-        print(
-            render_text(
-                findings, files_checked=files_checked, tool="reproaudit"
-            )
-        )
+    renderer = render_json if args.format == "json" else render_text
+    print(renderer(findings, files_checked=files_checked))
     if any(f.fatal for f in findings):
         return 2
     return 1 if findings else 0

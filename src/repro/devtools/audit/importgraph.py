@@ -1,8 +1,8 @@
 """Pass 1: the intra-package import graph against the declared layering.
 
-Every module under the package root is parsed (``ast`` only -- nothing
-is imported), every ``import``/``from ... import`` of an intra-package
-module becomes an edge, and each edge carries its *kind*:
+Every parsed module under the package root (``ast`` only -- nothing is
+imported) contributes its ``import``/``from ... import`` statements of
+intra-package modules as edges, and each edge carries its *kind*:
 
 * ``runtime`` -- module level, executed at import time;
 * ``type`` -- inside an ``if TYPE_CHECKING:`` block, never executed;
@@ -28,19 +28,18 @@ layer A to layer B is
 ``# reproaudit: allow-edge -- justification`` on the import's line (or
 alone on the line above) suppresses ARC002/ARC003 for that edge; the
 justification is mandatory, and a bare ``allow-edge`` is itself
-reported as AUD000, mirroring reprolint's disable grammar.
+reported as AUD000, mirroring the REP rules' disable grammar.
 """
 
 from __future__ import annotations
 
 import ast
-import os
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.devtools.config import parse_python
 from repro.devtools.rules import Finding
+from repro.devtools.source import SourceTree
 
 __all__ = [
     "ImportEdge",
@@ -65,23 +64,21 @@ class ImportEdge:
 
 @dataclass(frozen=True)
 class ModuleGraph:
-    """The parsed package: modules, edges, and parse failures."""
+    """The parsed package: modules and edges."""
 
     modules: Tuple[str, ...]
     edges: Tuple[ImportEdge, ...]
     #: repo-relative path of each module, for reporting.
     paths: Mapping[str, str]
-    #: raw source lines per module, for the allow-edge scan.
+    #: raw source lines per parsed module, for the allow-edge scan.
     sources: Mapping[str, Tuple[str, ...]]
-    parse_failures: Tuple[Finding, ...]
 
     def runtime_edges(self) -> List[ImportEdge]:
         return [e for e in self.edges if e.kind == "runtime"]
 
 
-def _module_name(rel_path: str, src_prefix: str) -> str:
+def _module_name(rel: str, src_prefix: str) -> str:
     """``src/repro/net/asn.py`` -> ``repro.net.asn``."""
-    rel = rel_path.replace(os.sep, "/")
     if rel.startswith(src_prefix + "/"):
         rel = rel[len(src_prefix) + 1 :]
     mod = rel[: -len(".py")].replace("/", ".")
@@ -166,50 +163,28 @@ class _ImportVisitor(ast.NodeVisitor):
             self._add(dotted if dotted in self.known else module, node)
 
 
-def build_graph(
-    root: str, package_root: str = "src/repro"
-) -> ModuleGraph:
-    """Parse every module under ``root/package_root`` into a graph."""
-    src_prefix = package_root.split("/")[0]
-    abs_pkg = os.path.join(root, package_root)
-    rel_paths: List[str] = []
-    for dirpath, dirnames, filenames in os.walk(abs_pkg):
-        dirnames.sort()
-        dirnames[:] = [d for d in dirnames if d != "__pycache__"]
-        for name in sorted(filenames):
-            if name.endswith(".py"):
-                rel_paths.append(
-                    os.path.relpath(os.path.join(dirpath, name), root)
-                )
-    rel_paths.sort()
-    known: Set[str] = set()
-    paths: Dict[str, str] = {}
-    for rel in rel_paths:
-        mod = _module_name(rel, src_prefix)
-        known.add(mod)
-        paths[mod] = rel.replace(os.sep, "/")
+def build_graph(source: SourceTree) -> ModuleGraph:
+    """The import graph of every module in the parsed tree."""
+    src_prefix = source.package_root.split("/")[0]
+    paths: Dict[str, str] = {
+        _module_name(rel, src_prefix): rel for rel in source.files
+    }
+    known: Set[str] = set(paths)
     edges: List[ImportEdge] = []
     sources: Dict[str, Tuple[str, ...]] = {}
-    failures: List[Finding] = []
-    for rel in rel_paths:
-        mod = _module_name(rel, src_prefix)
-        with open(os.path.join(root, rel), encoding="utf-8") as fh:
-            source = fh.read()
-        tree, failure = parse_python(source, paths[mod], "AUD001")
-        if tree is None:
-            if failure is not None:
-                failures.append(failure)
+    for mod, rel in paths.items():
+        parsed = source.files[rel]
+        if parsed.tree is None:
             continue
-        sources[mod] = tuple(source.splitlines())
-        visitor = _ImportVisitor(mod, paths[mod], known)
-        visitor.visit(tree)
+        sources[mod] = parsed.lines
+        visitor = _ImportVisitor(mod, rel, known)
+        visitor.visit(parsed.tree)
         edges.extend(visitor.edges)
     return ModuleGraph(
         modules=tuple(sorted(known)),
         edges=tuple(edges),
         paths=paths,
         sources=sources,
-        parse_failures=tuple(failures),
     )
 
 
@@ -354,7 +329,7 @@ def check_layering(
     may_import: Mapping[str, Tuple[str, ...]],
 ) -> List[Finding]:
     """ARC001 cycles, ARC002/ARC003 bad edges, ARC004 unassigned, AUD000."""
-    findings: List[Finding] = list(graph.parse_failures)
+    findings: List[Finding] = []
     for cycle in find_cycles(graph):
         head = cycle[0]
         findings.append(

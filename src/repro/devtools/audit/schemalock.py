@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import ast
 import json
-import os
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.devtools.config import parse_python
 from repro.devtools.rules import Finding
+from repro.devtools.source import SourceTree
 
 __all__ = [
     "SCHEMA_LOCK_VERSION",
@@ -47,21 +46,27 @@ SCHEMA_LOCK_VERSION = 1
 # ----------------------------------------------------------------------
 
 
-def _parse_module(root: str, rel_path: str) -> Tuple[Optional[ast.Module], Optional[Finding]]:
-    try:
-        with open(os.path.join(root, rel_path), encoding="utf-8") as fh:
-            source = fh.read()
-    except OSError as exc:
-        return None, Finding(
-            code="SCH003",
-            path=rel_path,
-            line=1,
-            col=0,
-            message=f"locked surface module unreadable: {exc}",
-            fix_hint="restore the module or update [tool.reproaudit]'s "
-            "package_root",
+def _module(
+    source: SourceTree, rel_path: str, findings: List[Finding]
+) -> Optional[ast.Module]:
+    """A locked surface's parse tree; SCH003 when the module is missing.
+
+    An unparseable module yields ``None`` with no finding here: the
+    tree already reported it (AUD001).
+    """
+    if rel_path not in source.files:
+        findings.append(
+            Finding(
+                code="SCH003",
+                path=rel_path,
+                line=1,
+                col=0,
+                message="locked surface module missing",
+                fix_hint="restore the module or update [tool.reproaudit]'s "
+                "package_root",
+            )
         )
-    return parse_python(source, rel_path, "AUD001")
+    return source.module(rel_path)
 
 
 def _assigned_constant(tree: ast.Module, name: str) -> Any:
@@ -150,16 +155,15 @@ def _function_def(tree: ast.Module, name: str) -> Optional[ast.FunctionDef]:
 
 
 def _extract_record_log(
-    root: str, package_root: str, findings: List[Finding]
+    source: SourceTree, findings: List[Finding]
 ) -> Optional[Dict[str, Any]]:
+    package_root = source.package_root
     fsutil_rel = f"{package_root}/fsutil.py"
     rel = f"{package_root}/core/stages.py"
     trees: Dict[str, ast.Module] = {}
     for path in (fsutil_rel, f"{package_root}/measure/checkpoint.py", rel):
-        tree, failure = _parse_module(root, path)
+        tree = _module(source, path, findings)
         if tree is None:
-            if failure is not None:
-                findings.append(failure)
             return None
         trees[path] = tree
     tree = trees[rel]
@@ -200,10 +204,7 @@ def _extract_record_log(
                     + module.replace(".", "/")
                     + ".py"
                 )
-                mod_tree, mod_failure = _parse_module(root, mod_rel)
-                if mod_tree is None and mod_failure is not None:
-                    findings.append(mod_failure)
-                module_cache[module] = mod_tree
+                module_cache[module] = _module(source, mod_rel, findings)
             mod_tree = module_cache[module]
             cls = _class_def(mod_tree, name) if mod_tree else None
         if cls is None:
@@ -233,13 +234,11 @@ def _extract_record_log(
 
 
 def _extract_shard_wire(
-    root: str, package_root: str, findings: List[Finding]
+    source: SourceTree, findings: List[Finding]
 ) -> Optional[Dict[str, Any]]:
-    rel = f"{package_root}/measure/executor.py"
-    tree, failure = _parse_module(root, rel)
+    rel = f"{source.package_root}/measure/executor.py"
+    tree = _module(source, rel, findings)
     if tree is None:
-        if failure is not None:
-            findings.append(failure)
         return None
     pack = _function_def(tree, "_pack_result")
     pack_shape = None
@@ -280,13 +279,10 @@ def _extract_shard_wire(
 
 
 def _extract_bench_report(
-    root: str, package_root: str, findings: List[Finding]
+    source: SourceTree, findings: List[Finding]
 ) -> Optional[Dict[str, Any]]:
-    rel = f"{package_root}/bench/report.py"
-    tree, failure = _parse_module(root, rel)
+    tree = _module(source, f"{source.package_root}/bench/report.py", findings)
     if tree is None:
-        if failure is not None:
-            findings.append(failure)
         return None
     cls = _class_def(tree, "BenchReport")
     return {
@@ -299,13 +295,10 @@ def _extract_bench_report(
 
 
 def _extract_span_record(
-    root: str, package_root: str, findings: List[Finding]
+    source: SourceTree, findings: List[Finding]
 ) -> Optional[Dict[str, Any]]:
-    rel = f"{package_root}/obs/span.py"
-    tree, failure = _parse_module(root, rel)
+    tree = _module(source, f"{source.package_root}/obs/span.py", findings)
     if tree is None:
-        if failure is not None:
-            findings.append(failure)
         return None
     cls = _class_def(tree, "SpanRecord")
     packed = None
@@ -333,13 +326,13 @@ _EXTRACTORS = {
 
 
 def extract_schemas(
-    root: str, package_root: str = "src/repro"
+    source: SourceTree,
 ) -> Tuple[Dict[str, Any], List[Finding]]:
     """All surfaces' live schemas, plus extraction findings."""
     findings: List[Finding] = []
     schemas: Dict[str, Any] = {"version": SCHEMA_LOCK_VERSION}
     for name, extract in sorted(_EXTRACTORS.items()):
-        surface = extract(root, package_root, findings)
+        surface = extract(source, findings)
         if surface is not None:
             schemas[name] = surface
     return schemas, findings

@@ -1,121 +1,110 @@
-"""Shared ``pyproject.toml`` plumbing for the devtools auditors.
+"""``[tool.reproaudit]``: the one configuration of ``repro audit``.
 
-``repro lint`` (:mod:`repro.devtools.reprolint`) and ``repro audit``
-(:mod:`repro.devtools.audit`) are both configured through ``[tool.*]``
-sections of the repo's ``pyproject.toml``, and both scope their checks
-by repo-relative path prefixes.  This module owns that plumbing once, so
-the two tools can never drift apart on how a section is located, how
-missing ``tomllib`` is handled, or what "path ``a/b`` is under prefix
-``a``" means:
+The section of the repo's ``pyproject.toml`` is the only source -- there
+is no builtin mirror -- and every path in it is a repo-relative,
+``/``-separated prefix resolved against the ``pyproject.toml``'s
+directory:
 
-* :func:`load_tool_section` -- find and parse one ``[tool.<name>]``
-  table (returns the section, or ``None`` when the file or section is
-  absent, plus the root directory config paths are relative to);
-* :func:`path_matches` -- the single prefix-matching predicate both
-  tools use for ``paths`` / ``exclude`` / per-rule scoping entries;
-* :func:`parse_python` -- ``ast.parse`` with the shared failure
-  contract: an unparseable file (syntax error *or* a ``ValueError``
-  such as a NUL byte in the source) is reported as a *fatal*
-  :class:`~repro.devtools.rules.Finding`, never a traceback, and both
-  CLIs turn any fatal finding into exit status 2.
+* ``package_root`` -- the tree every pass walks;
+* ``schema_lock`` / ``api_lock`` / ``api_packages`` -- the lockfiles and
+  the packages whose public API is locked;
+* ``layers.<name>.modules`` / ``layers.<name>.may_import`` -- the
+  import-graph layering;
+* ``rule_paths.<REP>`` / ``rule_exclude.<REP>`` -- where each per-file
+  rule applies (a rule with no ``rule_paths`` entry applies to every
+  file);
+* ``rep004_strict_paths`` -- the part of REP004's scope where every
+  clock read is a finding (the adaptive control plane).
 """
 
 from __future__ import annotations
 
-import ast
 import os
-from typing import Any, Mapping, Optional, Tuple
+import tomllib
+from dataclasses import dataclass
+from typing import Any, List, Mapping, Optional, Tuple
 
-from repro.devtools.rules import Finding
+from repro.devtools.rules import file_rule_codes
 
-__all__ = [
-    "load_tool_section",
-    "parse_python",
-    "path_matches",
-]
-
-
-def load_tool_section(
-    tool: str, pyproject_path: Optional[str] = None
-) -> Tuple[Optional[Mapping[str, Any]], str]:
-    """Locate and parse ``[tool.<tool>]`` from a ``pyproject.toml``.
-
-    With ``pyproject_path=None`` the CWD's ``pyproject.toml`` is tried.
-    Returns ``(section, root)`` where ``root`` is the directory all of
-    the section's relative paths are resolved against.  ``section`` is
-    ``None`` when the file does not exist, the section is absent, or the
-    interpreter predates ``tomllib`` (Python < 3.11) -- callers fall
-    back to their builtin mirror of the committed config in every one of
-    those cases, which the config-sync tests keep honest.
-
-    ``OSError`` from an explicitly-named unreadable file propagates (the
-    CLIs report it as a usage error, exit 2).
-    """
-    if pyproject_path is None:
-        candidate = os.path.join(os.getcwd(), "pyproject.toml")
-        if not os.path.isfile(candidate):
-            return None, os.getcwd()
-        pyproject_path = candidate
-    root = os.path.dirname(os.path.abspath(pyproject_path))
-    try:
-        import tomllib
-    except ImportError:  # Python < 3.11
-        return None, root
-    with open(pyproject_path, "rb") as fh:
-        data = tomllib.load(fh)
-    section = data.get("tool", {}).get(tool)
-    if not isinstance(section, Mapping):
-        return None, root
-    return section, root
+__all__ = ["AuditConfig", "load_audit_config", "path_matches"]
 
 
 def path_matches(rel_path: str, prefixes: Tuple[str, ...]) -> bool:
-    """Is ``rel_path`` equal to, or nested under, any prefix?
-
-    Both tools store config entries as repo-relative, ``/``-separated
-    prefixes; ``rel_path`` may arrive with OS separators.
-    """
-    norm = rel_path.replace(os.sep, "/")
+    """Is ``rel_path`` equal to, or nested under, any prefix?"""
     for prefix in prefixes:
         p = prefix.rstrip("/")
-        if norm == p or norm.startswith(p + "/"):
+        if rel_path == p or rel_path.startswith(p + "/"):
             return True
     return False
 
 
-def parse_python(
-    source: str, path: str, code: str
-) -> Tuple[Optional[ast.Module], Optional[Finding]]:
-    """Parse one source file under the shared failure contract.
+@dataclass(frozen=True)
+class AuditConfig:
+    """The parsed ``[tool.reproaudit]`` section (see the module doc)."""
 
-    Returns ``(tree, None)`` on success and ``(None, finding)`` on any
-    parse failure, where the finding carries ``fatal=True``: the file
-    cannot be audited at all, so the run's exit status must be 2 (a
-    broken input, distinct from exit 1's "checks ran and found
-    violations").  ``ValueError`` covers non-syntax rejections such as
-    NUL bytes, which ``ast.parse`` raises outside ``SyntaxError``.
+    root: str
+    package_root: str
+    schema_lock: str
+    api_lock: str
+    api_packages: Tuple[str, ...]
+    layer_modules: Mapping[str, Tuple[str, ...]]
+    may_import: Mapping[str, Tuple[str, ...]]
+    rule_paths: Mapping[str, Tuple[str, ...]]
+    rule_exclude: Mapping[str, Tuple[str, ...]]
+    rep004_strict_paths: Tuple[str, ...]
+
+    def codes_for(self, rel_path: str) -> Tuple[str, ...]:
+        """The per-file rule codes that apply to one repo-relative path."""
+        codes: List[str] = []
+        for code in file_rule_codes():
+            applies = self.rule_paths.get(code)
+            if applies and not path_matches(rel_path, applies):
+                continue
+            if path_matches(rel_path, self.rule_exclude.get(code, ())):
+                continue
+            codes.append(code)
+        return tuple(codes)
+
+    def strict_clocks(self, rel_path: str) -> bool:
+        """Is ``rel_path`` under REP004's strict scope?"""
+        return path_matches(rel_path, self.rep004_strict_paths)
+
+
+def _path_table(table: Mapping[str, Any]) -> Mapping[str, Tuple[str, ...]]:
+    return {key: tuple(paths) for key, paths in table.items()}
+
+
+def load_audit_config(pyproject_path: Optional[str] = None) -> AuditConfig:
+    """Read ``[tool.reproaudit]`` (default: ``./pyproject.toml``).
+
+    Raises ``OSError`` for an unreadable file and ``ValueError`` for
+    invalid TOML or a missing section or key; the CLI reports both as
+    usage errors (exit 2).
     """
+    path = pyproject_path or os.path.join(os.getcwd(), "pyproject.toml")
+    with open(path, "rb") as fh:
+        data = tomllib.load(fh)
+    section = data.get("tool", {}).get("reproaudit")
+    if not isinstance(section, Mapping):
+        raise ValueError(f"{path} has no [tool.reproaudit] table")
     try:
-        return ast.parse(source, filename=path), None
-    except SyntaxError as exc:
-        return None, Finding(
-            code=code,
-            path=path,
-            line=exc.lineno or 1,
-            col=exc.offset or 0,
-            message=f"file does not parse: {exc.msg}",
-            fix_hint="fix the syntax error; AST-based checks need a "
-            "valid parse",
-            fatal=True,
+        layers = section["layers"]
+        return AuditConfig(
+            root=os.path.dirname(os.path.abspath(path)),
+            package_root=str(section["package_root"]),
+            schema_lock=str(section["schema_lock"]),
+            api_lock=str(section["api_lock"]),
+            api_packages=tuple(section["api_packages"]),
+            layer_modules={
+                name: tuple(spec["modules"]) for name, spec in layers.items()
+            },
+            may_import={
+                name: tuple(spec["may_import"])
+                for name, spec in layers.items()
+            },
+            rule_paths=_path_table(section.get("rule_paths", {})),
+            rule_exclude=_path_table(section.get("rule_exclude", {})),
+            rep004_strict_paths=tuple(section.get("rep004_strict_paths", ())),
         )
-    except ValueError as exc:
-        return None, Finding(
-            code=code,
-            path=path,
-            line=1,
-            col=0,
-            message=f"file does not parse: {exc}",
-            fix_hint="the source is not valid Python text (e.g. embedded "
-            "NUL bytes); repair or exclude the file",
-            fatal=True,
-        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: [tool.reproaudit] lacks {exc}") from None

@@ -1,22 +1,14 @@
-"""reprolint: the determinism & purity auditor's driver and CLI.
+"""The per-file REP pass of ``repro audit``: rules plus disable comments.
 
-Walks Python files, runs the :mod:`repro.devtools.rules` AST checks that
-apply to each path, honours ``# reprolint: disable=`` escape hatches,
-and renders findings as text or JSON.  Invoked as::
+:func:`check_file` runs the :mod:`repro.devtools.rules` AST checks that
+apply to one already-parsed file and honours ``# reprolint: disable=``
+escape hatches; ``repro audit`` calls it once per file of the tree it
+parsed (which rules apply where is ``[tool.reproaudit]``'s
+``rule_paths`` / ``rule_exclude`` / ``rep004_strict_paths``).
+:func:`lint_source` parses and checks one source string.
 
-    PYTHONPATH=src python -m repro lint src/repro
-    PYTHONPATH=src python -m repro lint --format json src/repro/datasets
-
-Exit status: 0 clean, 1 findings, 2 usage/config errors or unparseable
-source (the same contract ``repro audit`` follows).
-
-Path scoping
-------------
-Rules are scoped per path prefix through ``[tool.reprolint]`` in
-``pyproject.toml`` (mirrored by :data:`DEFAULT_CONFIG` so the tool works
-without one).  A rule with no entry applies everywhere scanned.  The
-repo's scoping encodes the architecture: REP001 covers the dataset /
-measurement / inference layers where draws are lazy or lookup-ordered,
+The repo's scoping encodes the architecture: REP001 covers the dataset
+/ measurement / inference layers where draws are lazy or lookup-ordered,
 but not ``world/`` -- the world builder owns one serial RNG *by
 contract* (single-threaded, fixed construction order) -- and not
 ``net/rng.py``, which implements the keyed helpers themselves.
@@ -31,120 +23,15 @@ is itself reported as REP000, so every exception is a documented one.
 
 from __future__ import annotations
 
-import argparse
-import os
+import ast
 import re
-import sys
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.devtools.config import load_tool_section, parse_python, path_matches
-from repro.devtools.report import render_json, render_text
-from repro.devtools.rules import (
-    Finding,
-    RuleContext,
-    RULES,
-    all_rule_codes,
-    run_rule,
-)
+from repro.devtools.rules import Finding, RuleContext, file_rule_codes, run_rule
+from repro.devtools.source import parse_python
 
-__all__ = [
-    "DEFAULT_CONFIG",
-    "LintConfig",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-    "load_config",
-    "main",
-]
-
-
-@dataclass(frozen=True)
-class LintConfig:
-    """Which paths are scanned and which rules apply where.
-
-    All path entries are prefixes relative to ``root`` (the directory of
-    the ``pyproject.toml`` they came from, or the CWD for the builtin
-    defaults).  An empty ``rule_paths`` entry for a code means the rule
-    runs on every scanned file.
-    """
-
-    root: str = "."
-    paths: Tuple[str, ...] = ("src/repro",)
-    exclude: Tuple[str, ...] = ()
-    rule_paths: Mapping[str, Tuple[str, ...]] = field(default_factory=dict)
-    rule_exclude: Mapping[str, Tuple[str, ...]] = field(default_factory=dict)
-
-    def codes_for(self, rel_path: str) -> Tuple[str, ...]:
-        """The rule codes that apply to one file (repo-relative path)."""
-        codes: List[str] = []
-        for code in all_rule_codes():
-            applies = self.rule_paths.get(code)
-            if applies and not path_matches(rel_path, tuple(applies)):
-                continue
-            excluded = self.rule_exclude.get(code)
-            if excluded and path_matches(rel_path, tuple(excluded)):
-                continue
-            codes.append(code)
-        return tuple(codes)
-
-    def is_excluded(self, rel_path: str) -> bool:
-        return path_matches(rel_path, self.exclude)
-
-
-#: The repo's scoping, mirrored from ``[tool.reprolint]`` in
-#: ``pyproject.toml`` so the tool behaves identically without one.
-DEFAULT_CONFIG = LintConfig(
-    root=".",
-    paths=("src/repro",),
-    exclude=(),
-    rule_paths={
-        "REP001": (
-            "src/repro/datasets",
-            "src/repro/core",
-            "src/repro/measure",
-            "src/repro/analysis",
-        ),
-        "REP003": (
-            "src/repro/core/config.py",
-            "src/repro/measure/faults.py",
-            "src/repro/datasets/datafaults.py",
-        ),
-        "REP004": ("src/repro/measure", "src/repro/core", "src/repro/obs"),
-        "REP007": ("src/repro/measure", "src/repro/core"),
-        "REP008": (
-            "src/repro/measure/health.py",
-            "src/repro/measure/adapt.py",
-        ),
-    },
-    rule_exclude={
-        "REP001": ("src/repro/net/rng.py",),
-    },
-)
-
-
-def load_config(pyproject_path: Optional[str] = None) -> LintConfig:
-    """Read ``[tool.reprolint]`` from a pyproject, or fall back to defaults.
-
-    On Python < 3.11 (no ``tomllib``) the builtin :data:`DEFAULT_CONFIG`
-    is used; the two are kept in sync by ``tests/test_reprolint.py``.
-    """
-    section, root = load_tool_section("reprolint", pyproject_path)
-    if section is None:
-        return DEFAULT_CONFIG
-    return LintConfig(
-        root=root,
-        paths=tuple(section.get("paths", DEFAULT_CONFIG.paths)),
-        exclude=tuple(section.get("exclude", ())),
-        rule_paths={
-            code: tuple(paths)
-            for code, paths in section.get("rule_paths", {}).items()
-        },
-        rule_exclude={
-            code: tuple(paths)
-            for code, paths in section.get("rule_exclude", {}).items()
-        },
-    )
+__all__ = ["check_file", "lint_source"]
 
 
 # ----------------------------------------------------------------------
@@ -225,177 +112,41 @@ def _apply_disables(
 
 
 # ----------------------------------------------------------------------
-# driver
+# checking
 # ----------------------------------------------------------------------
+
+
+def check_file(
+    path: str,
+    tree: ast.Module,
+    source_lines: Tuple[str, ...],
+    codes: Sequence[str],
+    *,
+    strict_clocks: bool = False,
+) -> List[Finding]:
+    """Run ``codes`` over one parsed file, then apply its disables."""
+    ctx = RuleContext(path=path, tree=tree, strict_clocks=strict_clocks)
+    findings: List[Finding] = []
+    for code in codes:
+        findings.extend(run_rule(code, ctx))
+    return _apply_disables(findings, _scan_disables(source_lines), path)
 
 
 def lint_source(
     source: str,
     path: str = "<string>",
     codes: Optional[Sequence[str]] = None,
+    *,
+    strict_clocks: bool = False,
 ) -> List[Finding]:
-    """Lint one source string with the given rules (default: all)."""
-    tree, parse_error = parse_python(source, path, "REP000")
+    """Parse and check one source string (default: every REP rule)."""
+    tree, failure = parse_python(source, path)
     if tree is None:
-        return [parse_error] if parse_error is not None else []
-    source_lines = tuple(source.splitlines())
-    ctx = RuleContext(path=path, tree=tree, source_lines=source_lines)
-    findings: List[Finding] = []
-    for code in codes if codes is not None else all_rule_codes():
-        findings.extend(run_rule(code, ctx))
-    return _apply_disables(findings, _scan_disables(source_lines), path)
-
-
-def lint_file(
-    abs_path: str, rel_path: str, config: LintConfig
-) -> List[Finding]:
-    """Lint one file under the config's rule scoping."""
-    codes = config.codes_for(rel_path)
-    if not codes:
-        return []
-    with open(abs_path, encoding="utf-8") as fh:
-        source = fh.read()
-    return lint_source(source, path=rel_path, codes=codes)
-
-
-def _walk_python_files(
-    paths: Sequence[str], config: LintConfig
-) -> List[Tuple[str, str]]:
-    """(absolute, repo-relative) pairs, sorted for stable output."""
-    found: Dict[str, str] = {}
-    for entry in paths:
-        abs_entry = (
-            entry
-            if os.path.isabs(entry)
-            else os.path.join(config.root, entry)
-        )
-        if os.path.isfile(abs_entry):
-            rel = os.path.relpath(abs_entry, config.root)
-            found[os.path.abspath(abs_entry)] = rel
-            continue
-        for dirpath, dirnames, filenames in os.walk(abs_entry):
-            dirnames.sort()
-            dirnames[:] = [d for d in dirnames if d != "__pycache__"]
-            for name in sorted(filenames):
-                if not name.endswith(".py"):
-                    continue
-                abs_path = os.path.join(dirpath, name)
-                rel = os.path.relpath(abs_path, config.root)
-                found[os.path.abspath(abs_path)] = rel
-    return sorted(
-        (
-            (abs_path, rel)
-            for abs_path, rel in found.items()
-            if not config.is_excluded(rel)
-        ),
-        key=lambda pair: pair[1],
+        return [failure] if failure is not None else []
+    return check_file(
+        path,
+        tree,
+        tuple(source.splitlines()),
+        file_rule_codes() if codes is None else codes,
+        strict_clocks=strict_clocks,
     )
-
-
-def lint_paths(
-    paths: Optional[Sequence[str]] = None,
-    config: Optional[LintConfig] = None,
-    rules: Optional[Sequence[str]] = None,
-) -> Tuple[List[Finding], int]:
-    """Lint files/directories; returns (findings, files_checked)."""
-    config = config or DEFAULT_CONFIG
-    files = _walk_python_files(paths or config.paths, config)
-    findings: List[Finding] = []
-    for abs_path, rel_path in files:
-        codes = config.codes_for(rel_path)
-        if rules is not None:
-            codes = tuple(c for c in codes if c in rules)
-        if not codes:
-            continue
-        with open(abs_path, encoding="utf-8") as fh:
-            source = fh.read()
-        findings.extend(lint_source(source, path=rel_path, codes=codes))
-    return findings, len(files)
-
-
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro lint",
-        description=(
-            "AST-based determinism & purity auditor for the repro tree "
-            "(rules REP001..REP008; see DESIGN.md 'Determinism contract')"
-        ),
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to lint (default: [tool.reprolint] "
-        "paths, i.e. src/repro)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default text)",
-    )
-    parser.add_argument(
-        "--rules",
-        type=str,
-        default=None,
-        metavar="CODES",
-        help="comma-separated subset of rules to run, e.g. REP001,REP005",
-    )
-    parser.add_argument(
-        "--config",
-        type=str,
-        default=None,
-        metavar="PYPROJECT",
-        help="pyproject.toml to read [tool.reprolint] from "
-        "(default: ./pyproject.toml if present)",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule catalogue and exit",
-    )
-    return parser
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.list_rules:
-        for code in all_rule_codes():
-            spec = RULES[code]
-            print(f"{code}  {spec.title}")
-            print(f"        why: {spec.rationale}")
-            print(f"        fix: {spec.fix_hint}")
-        return 0
-    rules: Optional[Tuple[str, ...]] = None
-    if args.rules:
-        rules = tuple(code.strip() for code in args.rules.split(",") if code.strip())
-        unknown = [code for code in rules if code not in RULES]
-        if unknown:
-            print(
-                f"repro lint: unknown rule(s): {', '.join(unknown)} "
-                f"(known: {', '.join(all_rule_codes())})",
-                file=sys.stderr,
-            )
-            return 2
-    try:
-        config = load_config(args.config)
-    except OSError as exc:
-        print(f"repro lint: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    findings, files_checked = lint_paths(
-        args.paths or None, config=config, rules=rules
-    )
-    renderer = render_json if args.format == "json" else render_text
-    print(renderer(findings, files_checked=files_checked))
-    if any(f.fatal for f in findings):
-        return 2
-    return 1 if findings else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,15 +1,18 @@
-"""The REP rules: AST checks behind the determinism & purity auditor.
+"""The finding catalogue of ``repro audit`` and its per-file REP rules.
 
-Each rule maps one digest invariant onto a mechanically checkable
-pattern.  The checks are deliberately syntactic -- no type inference --
-so every rule documents the pattern it matches and accepts a
-``# reprolint: disable=REPNNN -- justification`` escape hatch for the
-cases the heuristic cannot see through (see
+:data:`RULES` holds every code the auditor can emit: the whole-program
+codes (AUD/ARC/SCH/API, produced by :mod:`repro.devtools.audit`) carry
+identity only, and the REP rules below also carry the AST check that
+runs over each parsed file.  The checks are deliberately syntactic --
+no type inference -- so every rule documents the pattern it matches and
+accepts a ``# reprolint: disable=REPNNN -- justification`` escape hatch
+for the cases the heuristic cannot see through (see
 :mod:`repro.devtools.reprolint` for the comment grammar).
 
 =======  ==============================================================
 code     invariant
 =======  ==============================================================
+REP000   A disable comment must say why the exception is sound.
 REP001   RNG draws on digest paths must be keyed to record identity,
          never pulled from a shared sequential stream.
 REP002   Iteration feeding serialization / digests / shard merges must
@@ -18,6 +21,10 @@ REP003   Configs and fault plans are shared across processes and hashed
          for provenance; their dataclasses must be ``frozen=True``.
 REP004   Inference code must not read wall clocks or the environment;
          two runs of one (seed, config) pair must see identical inputs.
+         Under its strict scope (the adaptive control plane) every
+         clock read is a finding, the monotonic ones included: a
+         breaker keyed on elapsed time trips differently on a slower
+         machine.
 REP005   Mutable default arguments alias state across calls -- a purity
          hazard everywhere, not just on digest paths.
 REP006   Callables handed to the multiprocessing executor must be
@@ -27,10 +34,6 @@ REP007   Broad exception handlers on measurement/inference paths must
          re-raise or classify into the ``repro.errors`` taxonomy;
          swallowing ``Exception`` hides failures from the supervisor's
          retry / quarantine / salvage ladder.
-REP008   Adaptive control decisions (circuit breakers, probe governor)
-         must fold from probe counts, never wall-clock reads -- even
-         the monotonic clocks REP004 exempts: a breaker keyed on
-         elapsed time trips differently on a slower machine.
 =======  ==============================================================
 """
 
@@ -51,7 +54,7 @@ from typing import (
     Union,
 )
 
-__all__ = ["Finding", "RuleSpec", "RULES", "run_rule", "all_rule_codes"]
+__all__ = ["Finding", "RuleSpec", "RULES", "run_rule", "file_rule_codes"]
 
 
 @dataclass(frozen=True)
@@ -59,8 +62,8 @@ class Finding:
     """One rule violation at one source location.
 
     ``fatal`` marks findings that mean the check itself could not run
-    (an unparseable file, a missing lockfile): the CLIs report those
-    with exit status 2 instead of 1, per the shared exit contract.
+    (an unparseable file): the CLI reports those with exit status 2
+    instead of 1.
     """
 
     code: str
@@ -85,22 +88,28 @@ class Finding:
 
 @dataclass(frozen=True)
 class RuleSpec:
-    """A registered rule: identity, rationale, and its checker."""
+    """A catalogued code: identity, rationale, and its per-file checker.
+
+    ``check`` is ``None`` for codes the whole-program passes emit.
+    """
 
     code: str
     title: str
     rationale: str
     fix_hint: str
-    check: Callable[["RuleContext"], List[Finding]]
+    check: Optional[Callable[["RuleContext"], List[Finding]]] = None
 
 
 @dataclass(frozen=True)
 class RuleContext:
-    """Everything a checker needs about one parsed file."""
+    """Everything a checker needs about one parsed file.
+
+    ``strict_clocks`` marks a file under REP004's strict scope.
+    """
 
     path: str
     tree: ast.Module
-    source_lines: Tuple[str, ...]
+    strict_clocks: bool = False
 
 
 #: the four comprehension node types share ``generators``.
@@ -554,34 +563,79 @@ def _check_rep003(ctx: RuleContext) -> List[Finding]:
 _WALL_CLOCK_TIME_ATTRS = frozenset({"time", "time_ns", "ctime", "localtime", "gmtime"})
 _WALL_CLOCK_DT_ATTRS = frozenset({"now", "utcnow", "today"})
 
+#: Every ``time.*`` name that reads a clock: the strict scope's set.  A
+#: breaker or governor branching on elapsed time makes different
+#: decisions on a slower machine, so there even the monotonic clocks
+#: are banned.
+_ANY_CLOCK_TIME_ATTRS = _WALL_CLOCK_TIME_ATTRS | frozenset(
+    {
+        "monotonic",
+        "monotonic_ns",
+        "perf_counter",
+        "perf_counter_ns",
+        "process_time",
+        "process_time_ns",
+        "thread_time",
+        "thread_time_ns",
+    }
+)
+
+#: (message tail, fix hint) of a REP004 finding, per scope.
+_REP004_WHY = (
+    "inside inference code: the value differs between two runs of the "
+    "same (seed, config) pair, so anything derived from it is "
+    "unreproducible",
+    "derive the value from the seed/config, pass it in explicitly, or keep "
+    "it in timing metrics (which are excluded from the digest; "
+    "`time.perf_counter` is allowed)",
+)
+_REP004_STRICT_WHY = (
+    "in the adaptive control plane: breaker and governor transitions fold "
+    "from probe counts so any worker count (and any machine speed) "
+    "reproduces the serial run",
+    "key the decision on outcome counts/streaks from the health ledger; "
+    "time this code from its caller",
+)
+
 
 def _check_rep004(ctx: RuleContext) -> List[Finding]:
     findings: List[Finding] = []
 
-    def flag(node: ast.AST, what: str) -> None:
+    def flag(node: ast.AST, what: str, why: Tuple[str, str] = _REP004_WHY) -> None:
         findings.append(
             Finding(
                 code="REP004",
                 path=ctx.path,
                 line=node.lineno,
                 col=node.col_offset,
-                message=(
-                    f"{what} inside inference code: the value differs "
-                    "between two runs of the same (seed, config) pair, so "
-                    "anything derived from it is unreproducible"
-                ),
-                fix_hint="derive the value from the seed/config, pass it in "
-                "explicitly, or keep it in timing metrics (which are "
-                "excluded from the digest; `time.perf_counter` is allowed)",
+                message=f"{what} {why[0]}",
+                fix_hint=why[1],
             )
         )
 
+    # Under the strict scope every name bound by `from time import ...`
+    # is a clock read wherever it is used.
+    imported_from_time: Set[str] = set()
+    if ctx.strict_clocks:
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "time":
+                imported_from_time.update(a.asname or a.name for a in node.names)
+
     for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Name) and node.id in imported_from_time:
+            if isinstance(node.ctx, ast.Load):
+                flag(node, f"`{node.id}` (imported from `time`)", _REP004_STRICT_WHY)
+        elif isinstance(node, ast.Attribute):
             value = node.value
             if isinstance(value, ast.Name):
                 if value.id == "time" and node.attr in _WALL_CLOCK_TIME_ATTRS:
                     flag(node, f"wall-clock read `time.{node.attr}`")
+                elif (
+                    value.id == "time"
+                    and ctx.strict_clocks
+                    and node.attr in _ANY_CLOCK_TIME_ATTRS
+                ):
+                    flag(node, f"clock read `time.{node.attr}`", _REP004_STRICT_WHY)
                 elif value.id in ("datetime", "date") and node.attr in _WALL_CLOCK_DT_ATTRS:
                     flag(node, f"wall-clock read `{value.id}.{node.attr}`")
                 elif value.id == "os" and node.attr == "environ":
@@ -819,130 +873,21 @@ def _check_rep007(ctx: RuleContext) -> List[Finding]:
 
 
 # ----------------------------------------------------------------------
-# REP008 -- clock reads feeding adaptive control decisions
-# ----------------------------------------------------------------------
-
-#: Every ``time.*`` callable that reads *any* clock.  REP008 is
-#: stricter than REP004 on purpose: on adaptive decision paths even the
-#: digest-exempt monotonic clocks are banned, because a breaker or
-#: governor that branches on elapsed time makes different decisions on
-#: a slower machine -- the exact worker-count/hardware dependence the
-#: health ledger's count-based contract rules out.
-_ANY_CLOCK_TIME_ATTRS = frozenset(
-    {
-        "time",
-        "time_ns",
-        "monotonic",
-        "monotonic_ns",
-        "perf_counter",
-        "perf_counter_ns",
-        "process_time",
-        "process_time_ns",
-        "thread_time",
-        "thread_time_ns",
-    }
-)
-
-
-def _check_rep008(ctx: RuleContext) -> List[Finding]:
-    findings: List[Finding] = []
-    seen: Set[Tuple[int, int]] = set()
-
-    # Names bound by ``from time import monotonic [as tick]``.
-    imported_clocks: Set[str] = set()
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "time":
-            for alias in node.names:
-                if alias.name in _ANY_CLOCK_TIME_ATTRS:
-                    imported_clocks.add(alias.asname or alias.name)
-
-    def clock_call(node: ast.AST) -> Optional[str]:
-        if not isinstance(node, ast.Call):
-            return None
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.value.id == "time"
-            and func.attr in _ANY_CLOCK_TIME_ATTRS
-        ):
-            return f"time.{func.attr}"
-        if isinstance(func, ast.Name) and func.id in imported_clocks:
-            return func.id
-        return None
-
-    # Syntactic taint, whole-file scope: any name ever assigned from an
-    # expression containing a clock read carries the clock with it.
-    tainted: Dict[str, str] = {}
-    for node in ast.walk(ctx.tree):
-        value: Optional[ast.expr]
-        if isinstance(node, ast.Assign):
-            value, targets = node.value, node.targets
-        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-            value, targets = node.value, [node.target]
-        else:
-            continue
-        if value is None:
-            continue
-        source = next(
-            (c for sub in ast.walk(value) if (c := clock_call(sub))), None
-        )
-        if source is None:
-            continue
-        for target in targets:
-            for sub in ast.walk(target):
-                if isinstance(sub, ast.Name):
-                    tainted[sub.id] = source
-
-    def flag(node: ast.AST, what: str, via: Optional[str] = None) -> None:
-        key = (node.lineno, node.col_offset)
-        if key in seen:
-            return
-        seen.add(key)
-        detail = f" via `{via}`" if via else ""
-        findings.append(
-            Finding(
-                code="REP008",
-                path=ctx.path,
-                line=node.lineno,
-                col=node.col_offset,
-                message=(
-                    f"clock read `{what}`{detail} feeds an adaptive "
-                    "control decision: breaker/governor transitions must "
-                    "fold from probe counts so any worker count (and any "
-                    "machine speed) reproduces the serial run"
-                ),
-                fix_hint="key the decision on outcome counts/streaks from "
-                "the health ledger; clocks may only feed timing metrics",
-            )
-        )
-
-    # Decision contexts: branch/loop/assert tests plus any comparison.
-    roots: List[ast.expr] = []
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, (ast.If, ast.While, ast.IfExp)):
-            roots.append(node.test)
-        elif isinstance(node, ast.Assert):
-            roots.append(node.test)
-        elif isinstance(node, ast.Compare):
-            roots.append(node)
-    for root in roots:
-        for sub in ast.walk(root):
-            source = clock_call(sub)
-            if source is not None:
-                flag(sub, source)
-            elif isinstance(sub, ast.Name) and sub.id in tainted:
-                flag(sub, tainted[sub.id], via=sub.id)
-    return findings
-
-
-# ----------------------------------------------------------------------
-# registry
+# the catalogue
 # ----------------------------------------------------------------------
 
 RULES: Mapping[str, RuleSpec] = {
     spec.code: spec
     for spec in (
+        RuleSpec(
+            code="REP000",
+            title="unjustified disable comment",
+            rationale=(
+                "an escape hatch without a recorded reason is an "
+                "undocumented exception to the determinism contract"
+            ),
+            fix_hint="append ` -- <justification>` or fix the finding",
+        ),
         RuleSpec(
             code="REP001",
             title="unkeyed/shared RNG draw on a digest path",
@@ -976,12 +921,15 @@ RULES: Mapping[str, RuleSpec] = {
         ),
         RuleSpec(
             code="REP004",
-            title="wall-clock or environment read in inference code",
+            title="clock or environment read in inference code",
             rationale=(
                 "two runs of one (seed, config) pair must see identical "
-                "inputs; clocks and environments differ between runs"
+                "inputs; clocks and environments differ between runs, and "
+                "in the adaptive control plane any clock -- wall, "
+                "monotonic, or perf -- varies with machine speed"
             ),
-            fix_hint="derive from seed/config or keep it in timing metrics",
+            fix_hint="derive from seed/config or keep it in timing metrics "
+            "(outside the strict scope)",
             check=_check_rep004,
         ),
         RuleSpec(
@@ -1014,26 +962,103 @@ RULES: Mapping[str, RuleSpec] = {
             check=_check_rep007,
         ),
         RuleSpec(
-            code="REP008",
-            title="clock read feeding an adaptive control decision",
-            rationale=(
-                "the adaptive contract keys breaker and governor "
-                "transitions on probe counts so any worker count "
-                "reproduces the serial run; a decision fed by any clock "
-                "-- wall, monotonic, or perf -- varies with machine "
-                "speed and breaks that bit-for-bit guarantee"
-            ),
-            fix_hint="fold counts/streaks in the health ledger instead",
-            check=_check_rep008,
+            code="AUD000",
+            title="unjustified allow-edge comment",
+            rationale="an escape hatch without a recorded reason is an "
+            "undocumented architecture exception",
+            fix_hint="append ` -- <justification>` or remove the import",
+        ),
+        RuleSpec(
+            code="AUD001",
+            title="unparseable source file",
+            rationale="a file the auditor cannot parse is a file no "
+            "contract covers",
+            fix_hint="fix the syntax error; AST-based checks need a valid "
+            "parse",
+        ),
+        RuleSpec(
+            code="ARC001",
+            title="runtime import cycle",
+            rationale="cycles make import order load-bearing and undermine "
+            "the layering the inference chain depends on",
+            fix_hint="break the cycle with a TYPE_CHECKING or "
+            "function-level import",
+        ),
+        RuleSpec(
+            code="ARC002",
+            title="forbidden cross-layer import",
+            rationale="an edge outside the declared may_import lists "
+            "couples layers the architecture keeps apart",
+            fix_hint="move the shared code down a layer or invert the "
+            "dependency",
+        ),
+        RuleSpec(
+            code="ARC003",
+            title="layer-skipping import",
+            rationale="the dependency exists but bypasses the declared "
+            "seam, hiding it from the layer in between",
+            fix_hint="route through the intermediate layer or declare the "
+            "direct edge in may_import",
+        ),
+        RuleSpec(
+            code="ARC004",
+            title="module assigned to no layer",
+            rationale="an unassigned module is exempt from the whole "
+            "contract",
+            fix_hint="add its package to a layer in [tool.reproaudit.layers]",
+        ),
+        RuleSpec(
+            code="SCH001",
+            title="schema lockfile missing",
+            rationale="without schemas.lock.json no serialized surface is "
+            "pinned",
+            fix_hint="run `repro audit --update-locks` and commit the "
+            "lockfile",
+        ),
+        RuleSpec(
+            code="SCH002",
+            title="serialized schema drifted from lockfile",
+            rationale="checkpoints, shard wire tuples, bench reports, and "
+            "span rows outlive the process that wrote them; silent drift "
+            "breaks resume and regression gating",
+            fix_hint="if intended, run `repro audit --update-locks` and "
+            "commit the lockfile diff alongside the change",
+        ),
+        RuleSpec(
+            code="SCH003",
+            title="schema surface not statically extractable",
+            rationale="a surface the auditor cannot see is a surface it "
+            "cannot pin",
+            fix_hint="keep the serialization sites in their documented "
+            "shapes",
+        ),
+        RuleSpec(
+            code="API001",
+            title="API lockfile missing",
+            rationale="without api.lock.json the public surface is unpinned",
+            fix_hint="run `repro audit --update-locks` and commit the "
+            "lockfile",
+        ),
+        RuleSpec(
+            code="API002",
+            title="public API drifted from lockfile",
+            rationale="renamed or removed public names break downstream "
+            "callers without a visible diff",
+            fix_hint="if intended, run `repro audit --update-locks` and "
+            "commit the lockfile diff alongside the change",
         ),
     )
 }
 
 
-def all_rule_codes() -> Tuple[str, ...]:
-    return tuple(sorted(RULES))
+def file_rule_codes() -> Tuple[str, ...]:
+    """The codes with a per-file check, sorted."""
+    return tuple(sorted(code for code, spec in RULES.items() if spec.check))
 
 
 def run_rule(code: str, ctx: RuleContext) -> List[Finding]:
-    """Run one registered rule over a parsed file."""
-    return RULES[code].check(ctx)
+    """Run one per-file rule over a parsed file."""
+    check = RULES[code].check
+    if check is None:
+        raise ValueError(f"{code} is a whole-program code, not a per-file rule")
+    return check(ctx)

@@ -9,8 +9,9 @@ circuit-breaker state machine (closed -> open -> half-open) from it.
 The *acting* half -- deferral and recovery -- lives in
 :mod:`repro.measure.adapt`.
 
-The determinism contract (enforced by reprolint REP008 and the adaptive
-digest tests):
+The determinism contract (enforced by ``repro audit``'s REP004 strict
+scope, which bans every clock read in this module and
+:mod:`repro.measure.adapt`, and by the adaptive digest tests):
 
 * every ledger fold and breaker transition is keyed on probe **counts**
   and trace **content**, never wall-clock -- there is deliberately no

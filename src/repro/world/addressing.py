@@ -78,9 +78,6 @@ class AddressPlan:
         self._sorted = False
         return prefix
 
-    def allocator_for(self, superblock: str) -> PrefixAllocator:
-        return self._allocators[superblock]
-
     # -- convenience carvers ---------------------------------------------
 
     def cloud_block(self, cloud: str, length: int, owner_asn: ASN) -> Prefix:

@@ -190,12 +190,6 @@ class World:
         self.routers[iface.router_id].add_interface_ip(iface.ip)
         return iface
 
-    def metro_of_router(self, router_id: int) -> str:
-        metro = self.routers[router_id].metro_code
-        if metro is None:
-            raise ValueError(f"router {router_id} has no metro")
-        return metro
-
     def interface_router(self, ip: IPv4) -> Optional[Router]:
         iface = self.interfaces.get(ip)
         return self.routers[iface.router_id] if iface else None
@@ -539,10 +533,6 @@ class World:
     def true_metro_of_interface(self, ip: IPv4) -> Optional[str]:
         router = self.interface_router(ip)
         return router.metro_code if router else None
-
-    def true_owner_of_interface(self, ip: IPv4) -> Optional[ASN]:
-        router = self.interface_router(ip)
-        return router.owner_asn if router else None
 
     def true_abis(self) -> Set[IPv4]:
         return {icx.abi_ip for icx in self.interconnections.values()}

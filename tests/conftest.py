@@ -1,10 +1,14 @@
-"""Shared fixtures: small deterministic worlds and a full study run.
+"""Shared fixtures: small deterministic worlds, a full study run, and a
+mutable copy of the source tree for ``repro audit`` tests.
 
 The session-scoped fixtures are built once; individual tests must treat
 them as read-only.
 """
 
 from __future__ import annotations
+
+import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -118,3 +122,20 @@ def study(small_world):
 @pytest.fixture(scope="session")
 def study_result(study):
     return study[1]
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture
+def live_tree(tmp_path):
+    """The real src tree + pyproject + lockfiles, safe to mutate."""
+    root = tmp_path / "repo"
+    shutil.copytree(
+        REPO_ROOT / "src" / "repro",
+        root / "src" / "repro",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    for name in ("pyproject.toml", "schemas.lock.json", "api.lock.json"):
+        shutil.copy(REPO_ROOT / name, root / name)
+    return root

@@ -1,7 +1,7 @@
 """Tests for the bdrmap baseline (§8) and the analysis layer."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.analysis import figures, tables
 from repro.analysis.report import render_report
@@ -153,6 +153,8 @@ class TestFigures:
         assert figures.box_stats([]).count == 0
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=60))
+    @example([5e-324, 5e-324])
+    @example([1e-310, 1e-310, 1e-310])
     def test_box_stats_ordering(self, values):
         stats = figures.box_stats(values)
         assert stats.minimum <= stats.q1 <= stats.median <= stats.q3 <= stats.maximum

@@ -299,7 +299,6 @@ def _chain(announcements=(), moas=None, whois=None, conflicts=None,
         [(IXP_PREFIX, 7)],
         {IXP_MEMBER: (7, 100)} if members is None else members,
         {7: ("ams",)},
-        {7: "test-ix"},
         conflicts=conflicts,
     )
     return HopAnnotator(

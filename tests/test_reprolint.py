@@ -1,47 +1,47 @@
-"""reprolint: per-rule fixture regression tests + the repo-wide meta-test.
+"""REP rules: per-rule fixture regression tests + the live-tree meta-test.
 
 Every REP rule is pinned three ways: a known-bad fixture must yield
 exactly the expected findings, a known-good fixture must yield none, and
 the disable-comment escape hatch must behave (justified suppresses,
-unjustified suppresses nothing and is itself REP000).  The meta-test
-then asserts the live ``src/repro`` tree is reprolint-clean under the
-repo's own scoping, so a regression anywhere in the tree fails tier-1
-even before CI's dedicated lint job runs.
+unjustified suppresses nothing and is itself REP000).  ``repro audit``
+always runs these rules, so the CLI tests run it on a copy of the live
+tree, and the meta-test asserts the live ``src/repro`` tree is clean
+under the repo's own scoping, so a regression anywhere in the tree
+fails tier-1 even before CI's dedicated audit job runs.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
 from typing import List
 
 import pytest
 
-from repro.devtools.report import render_json, render_text
-from repro.devtools.reprolint import (
-    DEFAULT_CONFIG,
-    lint_paths,
-    lint_source,
-    load_config,
-    main,
-)
-from repro.devtools.rules import Finding, RULES, all_rule_codes
+from repro.devtools.audit.driver import main, render_json, render_text, run_audit
+from repro.devtools.config import load_audit_config, path_matches
+from repro.devtools.reprolint import lint_source
+from repro.devtools.rules import Finding, RULES, file_rule_codes
 
 FIXTURES = Path(__file__).parent / "data" / "reprolint_fixtures"
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
+#: fixtures checked as if they lived under REP004's strict scope.
+STRICT_FIXTURES = frozenset({"rep004_strict_bad.py", "rep004_strict_good.py"})
+
 
 def _lint_fixture(name: str, codes: List[str]) -> List[Finding]:
     source = (FIXTURES / name).read_text()
-    return lint_source(source, path=name, codes=codes)
+    return lint_source(
+        source, path=name, codes=codes, strict_clocks=name in STRICT_FIXTURES
+    )
 
 
 # --- rule catalogue ----------------------------------------------------
 
 
 def test_rule_catalogue_is_complete():
-    assert all_rule_codes() == (
+    assert file_rule_codes() == (
         "REP001",
         "REP002",
         "REP003",
@@ -49,7 +49,6 @@ def test_rule_catalogue_is_complete():
         "REP005",
         "REP006",
         "REP007",
-        "REP008",
     )
     for spec in RULES.values():
         assert spec.title and spec.rationale and spec.fix_hint
@@ -66,7 +65,7 @@ CASES = [
     ("REP005", "rep005_bad.py", 4, "rep005_good.py"),
     ("REP006", "rep006_bad.py", 3, "rep006_good.py"),
     ("REP007", "rep007_bad.py", 3, "rep007_good.py"),
-    ("REP008", "rep008_bad.py", 4, "rep008_good.py"),
+    ("REP004", "rep004_strict_bad.py", 4, "rep004_strict_good.py"),
 ]
 
 
@@ -88,7 +87,7 @@ def test_good_fixture_is_clean(code, bad, expected, good):
 def test_bad_fixtures_clean_under_other_rules():
     """Fixtures are narrow: each bad file violates only its own rule."""
     for code, bad, _expected, _good in CASES:
-        others = [c for c in all_rule_codes() if c != code]
+        others = [c for c in file_rule_codes() if c != code]
         findings = _lint_fixture(bad, others)
         assert findings == [], f"{bad}: {render_text(findings, files_checked=1)}"
 
@@ -100,6 +99,26 @@ def test_rep001_flags_every_receiver_shape():
     assert any("shared sequential RNG" in m for m in messages)
     assert any("aliased from a shared RNG" in m for m in messages)
     assert any("iteration order the linter cannot prove" in m for m in messages)
+
+
+def test_rep004_strict_scope_only_adds_findings():
+    """The strict scope reports every clock read; elsewhere the
+    monotonic clocks stay timing metrics, and no finding is lost."""
+    strict_bad = (FIXTURES / "rep004_strict_bad.py").read_text()
+    assert lint_source(strict_bad, codes=["REP004"]) == []
+    found = lint_source(strict_bad, codes=["REP004"], strict_clocks=True)
+    assert [(f.line, f.message.split(" in the ")[0]) for f in found] == [
+        (15, "clock read `time.perf_counter`"),
+        (22, "clock read `time.monotonic`"),
+        (28, "`monotonic` (imported from `time`)"),
+        (29, "`monotonic` (imported from `time`)"),
+    ]
+    good = (FIXTURES / "rep004_good.py").read_text()
+    assert len(lint_source(good, codes=["REP004"], strict_clocks=True)) == 3
+    for name in ("rep004_bad.py", "rep004_good.py"):
+        source = (FIXTURES / name).read_text()
+        plain = set(lint_source(source, codes=["REP004"]))
+        assert plain <= set(lint_source(source, codes=["REP004"], strict_clocks=True))
 
 
 # --- the acceptance scenario: PR 3's WhoisRegistry bug ----------------
@@ -154,27 +173,18 @@ def test_disable_for_other_rule_does_not_suppress():
 # --- parse errors ------------------------------------------------------
 
 
-def test_syntax_error_is_rep000():
+def test_syntax_error_is_aud001():
     findings = lint_source("def broken(:\n", path="broken.py")
-    assert len(findings) == 1
-    assert findings[0].code == "REP000"
+    assert [f.code for f in findings] == ["AUD001"]
+    assert findings[0].fatal
     assert "does not parse" in findings[0].message
 
 
 # --- config ------------------------------------------------------------
 
 
-def test_pyproject_config_matches_builtin_defaults():
-    """[tool.reprolint] and DEFAULT_CONFIG must never drift apart."""
-    config = load_config(str(REPO_ROOT / "pyproject.toml"))
-    assert config.paths == DEFAULT_CONFIG.paths
-    assert config.exclude == DEFAULT_CONFIG.exclude
-    assert dict(config.rule_paths) == dict(DEFAULT_CONFIG.rule_paths)
-    assert dict(config.rule_exclude) == dict(DEFAULT_CONFIG.rule_exclude)
-
-
 def test_rule_scoping_by_path():
-    config = DEFAULT_CONFIG
+    config = load_audit_config(str(REPO_ROOT / "pyproject.toml"))
     # REP001 applies to the measurement layer...
     assert "REP001" in config.codes_for("src/repro/measure/ping.py")
     # ...but not to the world builder (serial RNG by contract)...
@@ -183,16 +193,30 @@ def test_rule_scoping_by_path():
     assert "REP001" not in config.codes_for("src/repro/net/rng.py")
     # Unscoped rules apply everywhere.
     assert "REP005" in config.codes_for("src/repro/world/build.py")
+    # REP004's strict scope is the adaptive control plane only.
+    assert config.strict_clocks("src/repro/measure/health.py")
+    assert config.strict_clocks("src/repro/measure/adapt.py")
+    assert not config.strict_clocks("src/repro/measure/ping.py")
 
 
 # --- the meta-test: the live tree is clean -----------------------------
 
 
 def test_live_tree_is_reprolint_clean():
-    config = dataclasses.replace(DEFAULT_CONFIG, root=str(REPO_ROOT))
-    findings, files_checked = lint_paths(config=config)
+    config = load_audit_config(str(REPO_ROOT / "pyproject.toml"))
+    findings, files_checked = run_audit(config)
     assert files_checked > 50, "scan missed most of src/repro"
     assert findings == [], "\n" + render_text(findings, files_checked=files_checked)
+    # A scoping entry that matches no file silently switches its rule off.
+    live = [
+        p.relative_to(REPO_ROOT).as_posix()
+        for p in (REPO_ROOT / "src" / "repro").rglob("*.py")
+    ]
+    scoped = [*config.rule_paths.values(), *config.rule_exclude.values()]
+    for prefix in [p for paths in scoped for p in paths] + list(
+        config.rep004_strict_paths
+    ):
+        assert any(path_matches(path, (prefix,)) for path in live), prefix
 
 
 # --- output formats and CLI --------------------------------------------
@@ -216,18 +240,29 @@ def test_text_report_mentions_code_and_hint():
     assert "4 finding(s)" in text
 
 
-def test_cli_exit_codes(capsys):
-    bad = str(FIXTURES / "rep005_bad.py")
-    good = str(FIXTURES / "rep005_good.py")
-    assert main([bad]) == 1
-    assert main([good, "--rules", "REP005"]) == 0
+def _inject_mutable_default(root: Path) -> str:
+    rel = "src/repro/measure/ping.py"
+    target = root / rel
+    target.write_text(
+        target.read_text() + "\n\ndef _collect(into=[]):\n    return into\n"
+    )
+    return rel
+
+
+def test_cli_exit_codes(live_tree, capsys):
+    config = ["--config", str(live_tree / "pyproject.toml")]
+    assert main(config) == 0
+    _inject_mutable_default(live_tree)
+    assert main(config) == 1
     assert main(["--list-rules"]) == 0
-    assert main([bad, "--rules", "NOPE"]) == 2
     capsys.readouterr()
 
 
-def test_cli_json_output(capsys):
-    bad = str(FIXTURES / "rep005_bad.py")
-    assert main([bad, "--format", "json", "--rules", "REP005"]) == 1
+def test_cli_json_output(live_tree, capsys):
+    rel = _inject_mutable_default(live_tree)
+    config = ["--config", str(live_tree / "pyproject.toml")]
+    assert main([*config, "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["counts"] == {"REP005": 4}
+    assert payload["counts"] == {"REP005": 1}
+    assert payload["rules"]["REP005"]["title"] == RULES["REP005"].title
+    assert [f["path"] for f in payload["findings"]] == [rel]

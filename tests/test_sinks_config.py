@@ -270,13 +270,8 @@ class TestProgressPrinter:
 # TOML config files and plan spec round-trips (PR 6).
 # ----------------------------------------------------------------------
 
-from repro.core import config as config_mod  # noqa: E402
 from repro.datasets.datafaults import DataFaultPlan  # noqa: E402
 from repro.measure.faults import FaultPlan  # noqa: E402
-
-needs_tomllib = pytest.mark.skipif(
-    config_mod.tomllib is None, reason="stdlib tomllib unavailable (< 3.11)"
-)
 
 
 def _full_config():
@@ -325,28 +320,23 @@ class TestPlanSpecs:
 
 
 class TestTomlConfig:
-    @needs_tomllib
     def test_round_trip_every_field(self):
         config = _full_config()
         assert StudyConfig.from_toml(config.to_toml()) == config
 
-    @needs_tomllib
     def test_round_trip_defaults(self):
         config = StudyConfig()
         assert StudyConfig.from_toml(config.to_toml()) == config
 
-    @needs_tomllib
     def test_from_file(self, tmp_path):
         path = tmp_path / "study.toml"
         path.write_text(_full_config().to_toml())
         assert StudyConfig.from_file(path) == _full_config()
 
-    @needs_tomllib
     def test_unknown_key_fails_loudly(self):
         with pytest.raises(ValueError, match="unknown config key"):
             StudyConfig.from_toml("wrokers = 4\n")
 
-    @needs_tomllib
     def test_invalid_value_propagates(self):
         with pytest.raises(ValueError):
             StudyConfig.from_toml("workers = 0\n")
@@ -366,7 +356,6 @@ class TestTomlConfig:
 class TestConfigFlagPrecedence:
     """`--config study.toml` with explicit CLI flags as overrides."""
 
-    @needs_tomllib
     def test_file_sets_defaults_and_flags_override(self, tmp_path):
         from repro.cli import _config_defaults, build_parser
 
@@ -393,7 +382,6 @@ class TestConfigFlagPrecedence:
             DataFaultPlan.parse(args.data_fault_plan) == config.data_fault_plan
         )
 
-    @needs_tomllib
     def test_cli_errors_on_bad_config_file(self, tmp_path, capsys):
         from repro.cli import main as cli_main
 
