@@ -5,7 +5,9 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.analysis import figures, paper_values as paper, tables
+from repro.core.config import StudyConfig
 from repro.core.results import StudyResult
+from repro.core.stages import stages_for
 from repro.datasets.relationships import ASRelationships
 
 
@@ -96,17 +98,17 @@ def _render_resilience(result: StudyResult, add) -> None:
                     for label, count in resilience.recovered_by_label
                 )
             )
-        for snap in resilience.breakers:
-            if not snap.events:
+        for breaker in resilience.breakers:
+            if not breaker.events:
                 continue
             history = " -> ".join(
                 f"{event.to_state}@{event.at_outcome}"
-                for event in snap.events
+                for event in breaker.events
             )
             add(
-                f"    breaker {snap.cloud}/{snap.region}: {snap.state} "
-                f"({snap.failures}/{snap.outcomes} failed outcomes, "
-                f"{snap.rate_limited} rate-limit fingerprints; "
+                f"    breaker {breaker.cloud}/{breaker.region}: {breaker.state} "
+                f"({breaker.failures}/{breaker.outcomes} failed outcomes, "
+                f"{breaker.rate_limited} rate-limit fingerprints; "
                 f"closed -> {history})"
             )
     if metrics.degraded:
@@ -236,8 +238,8 @@ def render_salvage(result: StudyResult, recovered: List[str]) -> str:
     """Partial report for ``repro study --salvage``.
 
     The full report assumes every stage ran; after a crash only a prefix
-    of the stage graph is recoverable, so this renders exactly what each
-    recovered stage contributed and says plainly what is missing.
+    of the config's stages is recoverable, so this renders exactly what
+    each recovered stage contributed and names the stages still missing.
     """
     lines: List[str] = []
     add = lines.append
@@ -247,13 +249,12 @@ def render_salvage(result: StudyResult, recovered: List[str]) -> str:
             "stage records matching this configuration")
         return "\n".join(lines)
     add(f"  recovered stages: {', '.join(recovered)}")
-    done = set(recovered)
-    if "round1" in done and result.round1_stats is not None:
+    if result.round1_stats is not None:
         stats = result.round1_stats
         add(f"  round 1: {stats.probes} probes, "
             f"{stats.completed_fraction * 100:.1f}% complete, "
             f"{result.peer_ases_round1} peer ASes")
-    if "round2" in done and result.round2_stats is not None:
+    if result.round2_stats is not None:
         stats = result.round2_stats
         add(f"  round 2: {stats.probes} probes, "
             f"{stats.completed_fraction * 100:.1f}% complete, "
@@ -263,49 +264,35 @@ def render_salvage(result: StudyResult, recovered: List[str]) -> str:
             f"(BGP {row.bgp_fraction * 100:.1f}%, "
             f"WHOIS {row.whois_fraction * 100:.1f}%, "
             f"IXP {row.ixp_fraction * 100:.1f}%)")
-    if "alias" in done:
+    if result.verification is not None:
         add(f"  verified borders: {len(result.abis)} ABIs, "
             f"{len(result.cbis)} CBIs, "
             f"{len(result.final_segments)} segments, "
             f"{len(result.alias_sets)} alias sets")
-    if "pinning" in done and result.pinning is not None:
+    if result.pinning is not None:
         add(f"  pinning: {len(result.pinning.pinned)} metro-pinned, "
             f"coverage {result.metro_pin_coverage * 100:.1f}% "
             f"(with fallback {result.total_pin_coverage * 100:.1f}%)")
-    if "crossval" in done and result.crossval is not None:
+    if result.crossval is not None:
         add(f"  cross-validation: mean precision "
             f"{result.crossval.mean_precision * 100:.1f}%, recall "
             f"{result.crossval.mean_recall * 100:.1f}% over "
             f"{len(result.crossval.folds)} folds")
-    if "vpi" in done and result.vpi is not None:
+    if result.vpi is not None:
         add(f"  VPI: {len(result.vpi.vpi_cbis)} multi-cloud CBIs out of "
             f"{result.vpi.amazon_cbis} (pool {result.vpi.pool_size})")
-    if "grouping" in done and result.grouping is not None:
+    if result.grouping is not None:
         add(f"  grouping: {len(result.grouping.records)} peerings, "
             f"hidden fraction "
             f"{result.grouping.hidden_fraction() * 100:.1f}%")
-    if "icg" in done and result.icg is not None:
+    if result.icg is not None:
         add(f"  ICG: {result.icg.node_count} nodes, "
             f"{result.icg.edge_count} edges")
-    missing = [s for s in _salvage_order(result) if s not in done]
+    config = result.config if result.config is not None else StudyConfig()
+    missing = [s for s in stages_for(config) if s not in recovered]
     if missing:
         add(f"  missing stages (resume to compute): {', '.join(missing)}")
     return "\n".join(lines)
-
-
-def _salvage_order(result: StudyResult) -> List[str]:
-    """The stage names this result's configuration would have run."""
-    from repro.core.stages import STAGE_ORDER
-
-    config = result.config
-    skip = set()
-    if config is not None and not config.run_crossval:
-        skip.add("crossval")
-    if config is not None and not config.run_vpi:
-        skip.add("vpi")
-    if config is None or not config.adaptive:
-        skip.add("recovery")
-    return [s for s in STAGE_ORDER if s not in skip]
 
 
 def render_report(

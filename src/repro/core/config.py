@@ -10,7 +10,7 @@ carried by its engine), the per-shard timeout (the one wait horizon for
 a pooled shard) and retry bounds, and the checkpoint directory that
 makes a killed campaign resumable.
 
-A config can also live in a TOML file (``repro run --config study.toml``,
+A config can also live in a TOML file (``repro study --config study.toml``,
 with CLI flags as overrides): :meth:`StudyConfig.from_file` /
 :meth:`StudyConfig.from_toml` read one, :meth:`StudyConfig.to_toml`
 writes one, and the pair round-trips every field -- fault plans travel as
@@ -199,7 +199,7 @@ class StudyConfig:
         "default"), and fault plans are serialized as their canonical
         ``to_spec()`` strings.
         """
-        lines = ["# repro study configuration (repro run --config <file>)"]
+        lines = ["# repro study configuration (repro study --config <file>)"]
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
             if value is None:

@@ -16,11 +16,20 @@ run (round 1, round 2 and the VPI clouds) runs on one
 :class:`~repro.measure.campaign.CampaignStats` record, registered on
 ``result.metrics``; an optional :class:`~repro.measure.sink.EventSink`
 sees every probe, merged shard and closed span of the run.
+
+A run walks :func:`~repro.core.stages.stages_for` its config, in
+:data:`~repro.core.stages.STAGE_ORDER`.  A stage is one method,
+``_compute_<stage>``, returning a payload keyed by the ``StudyResult``
+fields it fills plus the run state it changed; one ``_apply`` projects
+a payload onto the run, whether it was just computed or loaded from a
+stage checkpoint.  Each ``run()`` and ``salvage()`` call builds its own
+state -- result, executor, border observatory, adaptive governor -- so
+two runs of one study return one digest.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import DataError, StageError, StudyInterrupted
 from repro.net.asn import AMAZON_ASNS, CLOUD_ORG_IDS
@@ -37,7 +46,7 @@ from repro.core.grouping import PeeringGrouper
 from repro.core.heuristics import SegmentVerifier
 from repro.core.pinning import IterativePinner, regional_fallback
 from repro.core.results import DataQualityReport, InterfaceCensus, StudyResult
-from repro.core.stages import StageChain, StageStore, study_fingerprint
+from repro.core.stages import StageChain, StageStore, stages_for, study_fingerprint
 from repro.core.vpi import VPIDetector
 from repro.datasets import (
     as2org_from_world,
@@ -66,12 +75,14 @@ from repro.world.model import World
 
 
 class _RunContext:
-    """Mutable per-run state threaded through the stage graph.
+    """Everything one ``run()`` or ``salvage()`` call owns.
 
-    Holds everything a stage body needs beyond ``self``: the result under
-    construction, the metrics/tracer pair, the executor every campaign
-    runs on, and the event-stream helpers.  One context per ``run()`` (or
-    ``salvage()``) call, so concurrent runs never share state.
+    The result under construction, the metrics/tracer pair, the executor
+    every campaign runs on, the event-stream helpers, and the run's own
+    mutable state: its border observatory, its adaptive governor, and
+    the validate stage's report.  Each call builds a fresh context, so a
+    second ``run()`` on one study starts from nothing the first left
+    behind.
     """
 
     def __init__(
@@ -80,13 +91,15 @@ class _RunContext:
         metrics: StudyMetrics,
         executor: ShardedExecutor,
         events: Optional[EventSink],
-        governor: Optional[ProbeGovernor] = None,
+        observatory: BorderObservatory,
+        governor: Optional[ProbeGovernor],
     ) -> None:
         self.result = result
         self.metrics = metrics
         self.tracer = metrics.tracer
         self.executor = executor
         self.events = events
+        self.observatory = observatory
         #: adaptive control plane (None unless ``config.adaptive``).
         self.governor = governor
         #: set by the validate stage; consumed by the quality stage.
@@ -98,21 +111,12 @@ class _RunContext:
             return sink
         return FanoutEvents(sink, self.events)
 
-
-class _Stage(NamedTuple):
-    """One node of the declarative stage graph.
-
-    ``compute`` produces the stage's payload (a flat dict of
-    checkpoint-codec-encodable values); ``apply`` projects a payload --
-    freshly computed *or* loaded from a stage checkpoint -- onto the
-    result and run context.  ``apply`` must be cheap and side-effect
-    equivalent on both paths: that is the whole resume contract.
-    """
-
-    name: str
-    enabled: bool
-    compute: Callable[[_RunContext], Dict[str, Any]]
-    apply: Callable[[_RunContext, Dict[str, Any], bool], None]
+    def probe_state(self) -> Dict[str, Any]:
+        """The probing stages' share of the payload: observatory and governor."""
+        state: Dict[str, Any] = {"observatory": self.observatory.state_dict()}
+        if self.governor is not None:
+            state["governor"] = self.governor.state_dict()
+        return state
 
 
 class AmazonPeeringStudy:
@@ -160,9 +164,7 @@ class AmazonPeeringStudy:
             else None
         )
         self.stage_store = (
-            StageStore(config.checkpoint_dir, resume=config.resume)
-            if config.checkpoint_dir
-            else None
+            StageStore(config.checkpoint_dir) if config.checkpoint_dir else None
         )
         # The supervisor owns cancellation, the study deadline, and the
         # study-wide retry budget.  An injected one (the CLI installs
@@ -205,129 +207,98 @@ class AmazonPeeringStudy:
             if cloud != "amazon"
         }
 
-        self.observatory = BorderObservatory(
-            self.annotator_r1, min_confidence=config.min_confidence
-        )
+        #: the latest run's observatory (each run builds its own).
+        self.observatory: Optional[BorderObservatory] = None
         self.region_metro = {
             name: rt.metro_code for name, rt in world.regions["amazon"].items()
         }
 
     # ------------------------------------------------------------------
-    # the declarative stage graph
+    # the stage walk
     # ------------------------------------------------------------------
 
-    def _stage_graph(self) -> List[_Stage]:
-        """The study as an ordered stage graph (§3 through §7).
-
-        Each stage is (name, enabled, compute, apply); ``run`` walks the
-        graph, loading completed stages from the :class:`StageStore`
-        instead of recomputing them and checkpointing fresh ones, all
-        under one rolling fingerprint chain.
-        """
-        return [
-            _Stage("validate", True, self._compute_validate, self._apply_validate),
-            _Stage("round1", True, self._compute_round1, self._apply_round1),
-            _Stage("round2", True, self._compute_round2, self._apply_round2),
-            _Stage(
-                "recovery",
-                self.config.adaptive,
-                self._compute_recovery,
-                self._apply_recovery,
-            ),
-            _Stage(
-                "heuristics", True, self._compute_heuristics, self._apply_heuristics
-            ),
-            _Stage("alias", True, self._compute_alias, self._apply_alias),
-            _Stage("pinning", True, self._compute_pinning, self._apply_pinning),
-            _Stage(
-                "crossval",
-                self.config.run_crossval,
-                self._compute_crossval,
-                self._apply_crossval,
-            ),
-            _Stage("vpi", self.config.run_vpi, self._compute_vpi, self._apply_vpi),
-            _Stage("grouping", True, self._compute_grouping, self._apply_grouping),
-            _Stage("icg", True, self._compute_icg, self._apply_icg),
-            _Stage("quality", True, self._compute_quality, self._apply_quality),
-        ]
-
-    def _make_context(
-        self, result: StudyResult, metrics: StudyMetrics, worker_spans: bool
-    ) -> _RunContext:
-        governor: Optional[ProbeGovernor] = None
-        if self.config.adaptive:
-            governor = ProbeGovernor(
-                HealthLedger(threshold=self.config.breaker_threshold),
-                cloud="amazon",
-            )
-        executor = ShardedExecutor(
-            self.world,
-            self.engine,
-            workers=self.config.workers,
-            retry=self.retry_policy,
-            supervisor=self.supervisor,
-            checkpoint_store=self.checkpoint_store,
-            tracer=metrics.tracer,
-            worker_spans=worker_spans,
-        )
-        return _RunContext(
-            result=result,
-            metrics=metrics,
-            executor=executor,
-            events=self.events,
-            governor=governor,
-        )
-
-    def run(self) -> StudyResult:
+    def _make_context(self, worker_spans: bool) -> _RunContext:
+        """A fresh run: result, metrics, executor, observatory, governor."""
         config = self.config
         metrics = StudyMetrics()
-        tracer = metrics.tracer
-        #: fine-grained (worker-side) spans are opt-in; coarse spans
-        #: (study/stage/campaign/shard) are always recorded and cheap.
-        worker_spans = bool(config.trace or config.trace_out)
-        events = self.events
-        if events is not None:
-            tracer.add_listener(events.on_span_closed)
         result = StudyResult(
             seed=config.seed,
             scale=self.world.config.scale,
             config=config,
             metrics=metrics,
         )
-        study_span = tracer.span("study", category="study")
-        ctx = self._make_context(result, metrics, worker_spans)
-        store = self.stage_store
-        supervisor = self.supervisor
-        chain = StageChain(
+        governor: Optional[ProbeGovernor] = None
+        if config.adaptive:
+            governor = ProbeGovernor(
+                HealthLedger(threshold=config.breaker_threshold),
+                cloud="amazon",
+            )
+        executor = ShardedExecutor(
+            self.world,
+            self.engine,
+            workers=config.workers,
+            retry=self.retry_policy,
+            supervisor=self.supervisor,
+            checkpoint_store=self.checkpoint_store,
+            tracer=metrics.tracer,
+            worker_spans=worker_spans,
+        )
+        observatory = BorderObservatory(
+            self.annotator_r1, min_confidence=config.min_confidence
+        )
+        self.observatory = observatory
+        return _RunContext(
+            result, metrics, executor, self.events, observatory, governor
+        )
+
+    def _stage_chain(self) -> StageChain:
+        return StageChain(
             study_fingerprint(
-                self.world.config.scale, self.world.config.seed, config
+                self.world.config.scale, self.world.config.seed, self.config
             )
         )
+
+    def run(self) -> StudyResult:
+        """Walk :func:`stages_for` the config, computing or resuming each.
+
+        With ``config.resume``, a stage whose record matches the rolling
+        fingerprint chain is loaded instead of computed; every stage
+        computed here is saved (when the study checkpoints).
+        """
+        config = self.config
+        # Fine-grained (worker-side) spans are opt-in; coarse spans
+        # (study/stage/campaign/shard) are always recorded and cheap.
+        ctx = self._make_context(bool(config.trace or config.trace_out))
+        metrics = ctx.metrics
+        tracer = ctx.tracer
+        events = self.events
+        if events is not None:
+            tracer.add_listener(events.on_span_closed)
+        study_span = tracer.span("study", category="study")
+        store = self.stage_store
+        supervisor = self.supervisor
+        chain = self._stage_chain()
         try:
             with supervisor:
-                for stage in self._stage_graph():
-                    if not stage.enabled:
-                        continue
-                    fingerprint = chain.fingerprint(stage.name)
+                for name in stages_for(config):
+                    fingerprint = chain.fingerprint(name)
                     supervisor.poll()
-                    with metrics.stage(stage.name) as span:
+                    with metrics.stage(name) as span:
                         loaded = (
-                            store.load(stage.name, fingerprint)
-                            if store is not None
+                            store.load(name, fingerprint)
+                            if store is not None and config.resume
                             else None
                         )
                         if loaded is not None:
                             payload, digest = loaded
-                            stage.apply(ctx, payload, True)
                             span.set("resumed", 1)
                         else:
                             try:
-                                payload = stage.compute(ctx)
+                                payload = getattr(self, f"_compute_{name}")(ctx)
                             except StudyInterrupted:
                                 raise
                             except Exception as exc:
-                                raise StageError(stage.name, exc) from exc
-                            stage.apply(ctx, payload, False)
+                                raise StageError(name, exc) from exc
                             # A stage computed after any shard quarantine
                             # in this run is degraded content, even once
                             # recovery healed the probes: the governor's
@@ -337,13 +308,12 @@ class AmazonPeeringStudy:
                             # the quarantined shards from the campaign
                             # journals instead.
                             if store is not None and not metrics.total_quarantined:
-                                digest = store.save(
-                                    stage.name, fingerprint, payload
-                                )
+                                digest = store.save(name, fingerprint, payload)
                             else:
                                 digest = "-"
-                    chain.advance(stage.name, digest)
-                    supervisor.note_stage_complete(stage.name)
+                        self._apply(ctx, payload)
+                    chain.advance(name, digest)
+                    supervisor.note_stage_complete(name)
         except StudyInterrupted as exc:
             # Graceful shutdown: leave a span explaining why the run
             # stopped and let the interrupt propagate (the CLI maps it to
@@ -370,53 +340,65 @@ class AmazonPeeringStudy:
                 )
             if events is not None:
                 events.close()
-        return result
+        return ctx.result
 
     def salvage(self) -> Tuple[StudyResult, List[str]]:
         """Rebuild a partial :class:`StudyResult` from stage checkpoints.
 
-        No probing, no computation: the stage graph is replayed from the
-        :class:`StageStore` until the first missing (or invalidated)
-        checkpoint, and whatever prefix was recovered is applied to a
-        fresh result.  Returns ``(result, recovered_stage_names)`` --
-        the degradation ladder's last rung, feeding
-        ``repro study --salvage``'s partial report.
+        No probing, no computation, no writes: the stages are replayed
+        from the :class:`StageStore` until the first missing (or
+        invalidated) checkpoint, and whatever prefix was recovered is
+        applied to a fresh result -- the same prefix whether or not the
+        config says ``resume``.  Returns ``(result,
+        recovered_stage_names)`` -- the degradation ladder's last rung,
+        feeding ``repro study --salvage``'s partial report.
         """
         if self.stage_store is None:
             raise DataError(
                 "salvage requires a checkpoint directory with stage "
                 "checkpoints (run with checkpoint_dir set)"
             )
-        config = self.config
-        metrics = StudyMetrics()
-        result = StudyResult(
-            seed=config.seed,
-            scale=self.world.config.scale,
-            config=config,
-            metrics=metrics,
-        )
-        ctx = self._make_context(result, metrics, worker_spans=False)
-        chain = StageChain(
-            study_fingerprint(
-                self.world.config.scale, self.world.config.seed, config
-            )
-        )
+        ctx = self._make_context(worker_spans=False)
+        chain = self._stage_chain()
         recovered: List[str] = []
-        for stage in self._stage_graph():
-            if not stage.enabled:
-                continue
-            loaded = self.stage_store.load(
-                stage.name, chain.fingerprint(stage.name)
-            )
+        for name in stages_for(self.config):
+            loaded = self.stage_store.load(name, chain.fingerprint(name))
             if loaded is None:
                 break  # the chain is only valid as an unbroken prefix
             payload, digest = loaded
-            with metrics.stage(stage.name) as span:
-                stage.apply(ctx, payload, True)
+            with ctx.metrics.stage(name) as span:
+                self._apply(ctx, payload)
                 span.set("resumed", 1)
-            chain.advance(stage.name, digest)
-            recovered.append(stage.name)
-        return result, recovered
+            chain.advance(name, digest)
+            recovered.append(name)
+        return ctx.result, recovered
+
+    def _apply(self, ctx: _RunContext, payload: Dict[str, Any]) -> None:
+        """Project one stage payload -- fresh or loaded -- onto the run.
+
+        Each key names either the run's own state (``validation``,
+        ``observatory``, ``governor``) or the :class:`StudyResult` field
+        the value fills.  Fresh and loaded payloads take this one path,
+        which is the whole resume contract: a fresh payload's state *is*
+        the run's live state, so restoring it changes nothing.
+        """
+        for key, value in payload.items():
+            if key == "validation":
+                ctx.validation = value
+            elif key == "observatory":
+                observatory = ctx.observatory
+                observatory.load_state(value)
+                # Point the restored state back at its round's snapshot.
+                label = observatory.current_round
+                observatory.start_round(
+                    label,
+                    self.annotator_r2 if label == "r2" else self.annotator_r1,
+                )
+            elif key == "governor":
+                assert ctx.governor is not None  # saved by adaptive runs only
+                ctx.governor.load_state(value)
+            else:
+                setattr(ctx.result, key, value)
 
     def _close_study_span(self, study_span: Any, ctx: _RunContext) -> None:
         # Annotation-layer counters ride on the study span: cache
@@ -477,9 +459,9 @@ class AmazonPeeringStudy:
         study_span.close()
 
     # ------------------------------------------------------------------
-    # stage bodies: compute() produces a checkpointable payload, apply()
-    # projects it onto the result -- identically for fresh and resumed
-    # payloads, which is what makes the digest resume-invariant.
+    # stage bodies: _compute_<stage> returns the stage's payload, keyed
+    # by the StudyResult fields it fills plus any run state it changed;
+    # _apply projects it onto the run.
     # ------------------------------------------------------------------
 
     def _compute_validate(self, ctx: _RunContext) -> Dict[str, Any]:
@@ -491,26 +473,20 @@ class AmazonPeeringStudy:
             )
         }
 
-    def _apply_validate(
-        self, ctx: _RunContext, payload: Dict[str, Any], resumed: bool
-    ) -> None:
-        ctx.validation = payload["validation"]
-
     def _compute_round1(self, ctx: _RunContext) -> Dict[str, Any]:
         # §3-§4.1: round-1 sweep.
         stats = ctx.executor.run(
             "amazon",
             "round1",
             round1_targets(self.world),
-            ctx.campaign_sink(self.observatory),
+            ctx.campaign_sink(ctx.observatory),
             governor=ctx.governor,
         )
         ctx.metrics.campaigns[stats.label] = stats
-        r1_abis = self.observatory.candidate_abis()
-        r1_cbis = self.observatory.candidate_cbis()
+        r1_abis = ctx.observatory.candidate_abis()
+        r1_cbis = ctx.observatory.candidate_cbis()
         return {
-            "stats": stats,
-            "observatory": self.observatory.state_dict(),
+            "round1_stats": stats,
             "table1": [
                 self._census("ABI", r1_abis, self.annotator_r1),
                 self._census("CBI", r1_cbis, self.annotator_r1),
@@ -518,72 +494,35 @@ class AmazonPeeringStudy:
             "peer_ases_round1": len(
                 self._peer_ases(r1_cbis, self.annotator_r1)
             ),
-            "adaptive": (
-                ctx.governor.state_dict() if ctx.governor is not None else None
-            ),
+            **ctx.probe_state(),
         }
-
-    def _apply_round1(
-        self, ctx: _RunContext, payload: Dict[str, Any], resumed: bool
-    ) -> None:
-        if resumed:
-            self.observatory.load_state(payload["observatory"])
-            if (
-                ctx.governor is not None
-                and payload.get("adaptive") is not None
-            ):
-                ctx.governor.load_state(payload["adaptive"])
-        result = ctx.result
-        result.round1_stats = payload["stats"]
-        result.table1.extend(payload["table1"])
-        result.peer_ases_round1 = payload["peer_ases_round1"]
 
     def _compute_round2(self, ctx: _RunContext) -> Dict[str, Any]:
         # §4.2: expansion probing under the round-2 snapshot.
-        r1_cbis = self.observatory.candidate_cbis()
-        self.observatory.start_round("r2", self.annotator_r2)
+        r1_cbis = ctx.observatory.candidate_cbis()
+        ctx.observatory.start_round("r2", self.annotator_r2)
         stats = ctx.executor.run(
             "amazon",
             "round2",
             expansion_targets(r1_cbis, self.config.expansion_stride),
-            ctx.campaign_sink(self.observatory),
+            ctx.campaign_sink(ctx.observatory),
             governor=ctx.governor,
         )
         ctx.metrics.campaigns[stats.label] = stats
-        e_abis = self.observatory.candidate_abis()
-        e_cbis = self.observatory.candidate_cbis()
+        e_abis = ctx.observatory.candidate_abis()
+        e_cbis = ctx.observatory.candidate_cbis()
         return {
-            "stats": stats,
-            "observatory": self.observatory.state_dict(),
+            "round2_stats": stats,
             "table1": [
+                *ctx.result.table1,
                 self._census("eABI", e_abis, self.annotator_r2),
                 self._census("eCBI", e_cbis, self.annotator_r2),
             ],
             "peer_ases_round2": len(
                 self._peer_ases(e_cbis, self.annotator_r2)
             ),
-            "adaptive": (
-                ctx.governor.state_dict() if ctx.governor is not None else None
-            ),
+            **ctx.probe_state(),
         }
-
-    def _apply_round2(
-        self, ctx: _RunContext, payload: Dict[str, Any], resumed: bool
-    ) -> None:
-        if resumed:
-            self.observatory.load_state(payload["observatory"])
-            # The restored state says round "r2"; point the live
-            # annotator at the round-2 snapshot to match.
-            self.observatory.start_round("r2", self.annotator_r2)
-            if (
-                ctx.governor is not None
-                and payload.get("adaptive") is not None
-            ):
-                ctx.governor.load_state(payload["adaptive"])
-        result = ctx.result
-        result.round2_stats = payload["stats"]
-        result.table1.extend(payload["table1"])
-        result.peer_ases_round2 = payload["peer_ases_round2"]
 
     def _compute_recovery(self, ctx: _RunContext) -> Dict[str, Any]:
         # DESIGN.md §6.6: the bounded re-probe round.  Serial in the
@@ -597,7 +536,7 @@ class AmazonPeeringStudy:
             stats_by_label["round1"] = ctx.result.round1_stats
         if ctx.result.round2_stats is not None:
             stats_by_label["round2"] = ctx.result.round2_stats
-        events = ctx.campaign_sink(self.observatory)
+        events = ctx.campaign_sink(ctx.observatory)
         try:
             report = run_recovery(
                 ctx.governor,
@@ -611,59 +550,39 @@ class AmazonPeeringStudy:
             )
         finally:
             events.close()
+        # Recovery heals the round stats in place; the payload carries
+        # the healed records.
         return {
             "round1_stats": ctx.result.round1_stats,
             "round2_stats": ctx.result.round2_stats,
-            "observatory": self.observatory.state_dict(),
-            "report": report,
+            "resilience": report,
+            **ctx.probe_state(),
         }
-
-    def _apply_recovery(
-        self, ctx: _RunContext, payload: Dict[str, Any], resumed: bool
-    ) -> None:
-        if resumed:
-            self.observatory.load_state(payload["observatory"])
-            self.observatory.start_round("r2", self.annotator_r2)
-        result = ctx.result
-        # Recovery heals round stats in place; on the resume path the
-        # healed copies come from the payload instead.
-        result.round1_stats = payload["round1_stats"]
-        result.round2_stats = payload["round2_stats"]
-        result.resilience = payload["report"]
 
     def _compute_heuristics(self, ctx: _RunContext) -> Dict[str, Any]:
         # §5.1: heuristics.
         verifier = SegmentVerifier(
-            self.observatory,
+            ctx.observatory,
             self.public_vp,
             min_confidence=self.config.min_confidence,
         )
         return {"heuristics": verifier.verify()}
 
-    def _apply_heuristics(
-        self, ctx: _RunContext, payload: Dict[str, Any], resumed: bool
-    ) -> None:
-        ctx.result.heuristics = payload["heuristics"]
-
     def _compute_alias(self, ctx: _RunContext) -> Dict[str, Any]:
         # §5.2: alias resolution and ownership verification.
         candidates = sorted(
-            self.observatory.candidate_abis() | self.observatory.candidate_cbis()
+            ctx.observatory.candidate_abis() | ctx.observatory.candidate_cbis()
         )
         alias_sets = self.alias_resolver.resolve(candidates)
-        alias_verifier = AliasVerifier(self.observatory, set(AMAZON_ASNS))
+        alias_verifier = AliasVerifier(ctx.observatory, set(AMAZON_ASNS))
         verification = alias_verifier.verify(alias_sets)
-        return {"alias_sets": alias_sets, "verification": verification}
-
-    def _apply_alias(
-        self, ctx: _RunContext, payload: Dict[str, Any], resumed: bool
-    ) -> None:
-        result = ctx.result
-        result.alias_sets = payload["alias_sets"]
-        result.verification = payload["verification"]
-        result.final_segments = result.verification.final_segments
-        result.abis = result.verification.abis
-        result.cbis = result.verification.cbis
+        return {
+            "alias_sets": alias_sets,
+            "verification": verification,
+            "final_segments": verification.final_segments,
+            "abis": verification.abis,
+            "cbis": verification.cbis,
+        }
 
     def _compute_pinning(self, ctx: _RunContext) -> Dict[str, Any]:
         # §6: RTT data, anchors, iterative pinning, regional fallback.
@@ -673,7 +592,7 @@ class AmazonPeeringStudy:
         segment_rtt_diff = self._segment_rtt_diffs(result.final_segments)
         parser = DNSGeoParser(self.world.catalog)
         anchor_builder = AnchorBuilder(
-            observatory=self.observatory,
+            observatory=ctx.observatory,
             abis=result.abis,
             cbis=result.cbis,
             pinger=self.pinger,
@@ -712,15 +631,6 @@ class AmazonPeeringStudy:
             "pinning": pinning,
         }
 
-    def _apply_pinning(
-        self, ctx: _RunContext, payload: Dict[str, Any], resumed: bool
-    ) -> None:
-        result = ctx.result
-        result.abi_min_rtts = payload["abi_min_rtts"]
-        result.segment_rtt_diff = payload["segment_rtt_diff"]
-        result.anchors = payload["anchors"]
-        result.pinning = payload["pinning"]
-
     def _compute_crossval(self, ctx: _RunContext) -> Dict[str, Any]:
         # §6.2: stratified cross-validation.
         result = ctx.result
@@ -735,11 +645,6 @@ class AmazonPeeringStudy:
             )
         }
 
-    def _apply_crossval(
-        self, ctx: _RunContext, payload: Dict[str, Any], resumed: bool
-    ) -> None:
-        ctx.result.crossval = payload["crossval"]
-
     def _compute_vpi(self, ctx: _RunContext) -> Dict[str, Any]:
         # §7.1: VPI detection from the other clouds.
         result = ctx.result
@@ -748,16 +653,11 @@ class AmazonPeeringStudy:
             cbi for cbi in result.cbis if self.annotator_r2.annotate(cbi).is_ixp
         }
         vpi = detector.detect(
-            result.cbis, ixp_cbis, self.observatory.discovery_dsts()
+            result.cbis, ixp_cbis, ctx.observatory.discovery_dsts()
         )
         for stats in vpi.stats.values():
             ctx.metrics.campaigns[stats.label] = stats
         return {"vpi": vpi}
-
-    def _apply_vpi(
-        self, ctx: _RunContext, payload: Dict[str, Any], resumed: bool
-    ) -> None:
-        ctx.result.vpi = payload["vpi"]
 
     def _compute_grouping(self, ctx: _RunContext) -> Dict[str, Any]:
         # §7.2-§7.3: grouping.
@@ -771,7 +671,7 @@ class AmazonPeeringStudy:
             else {}
         )
         grouper = PeeringGrouper(
-            self.observatory,
+            ctx.observatory,
             self.relationships,
             vpi_cbis,
             router_owner=router_owner,
@@ -793,14 +693,6 @@ class AmazonPeeringStudy:
             "recovered_bgp_peers": amazon_bgp_peers & grouping.all_ases(),
         }
 
-    def _apply_grouping(
-        self, ctx: _RunContext, payload: Dict[str, Any], resumed: bool
-    ) -> None:
-        result = ctx.result
-        result.grouping = payload["grouping"]
-        result.bgp_visible_peers = payload["bgp_visible_peers"]
-        result.recovered_bgp_peers = payload["recovered_bgp_peers"]
-
     def _compute_icg(self, ctx: _RunContext) -> Dict[str, Any]:
         # §7.4: the ICG.
         result = ctx.result
@@ -818,11 +710,6 @@ class AmazonPeeringStudy:
             )
         }
 
-    def _apply_icg(
-        self, ctx: _RunContext, payload: Dict[str, Any], resumed: bool
-    ) -> None:
-        ctx.result.icg = payload["icg"]
-
     def _compute_quality(self, ctx: _RunContext) -> Dict[str, Any]:
         # Data-quality rollup: what the sources disagreed on and which
         # inferences the confidence floor flagged.  Observability only --
@@ -831,11 +718,6 @@ class AmazonPeeringStudy:
         if validation is None:
             raise DataError("quality stage needs the validate stage's output")
         return {"data_quality": self._data_quality(ctx.result, validation)}
-
-    def _apply_quality(
-        self, ctx: _RunContext, payload: Dict[str, Any], resumed: bool
-    ) -> None:
-        ctx.result.data_quality = payload["data_quality"]
 
     # ------------------------------------------------------------------
 

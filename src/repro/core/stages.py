@@ -43,6 +43,7 @@ from typing import (
     Dict,
     List,
     Optional,
+    Set,
     Tuple,
     Type,
     Union,
@@ -64,12 +65,14 @@ from repro.datasets.datafaults import DataFaultPlan
 from repro.datasets.validate import DatasetValidationReport
 from repro.measure.adapt import DeferredTarget, RecoveryReport
 from repro.measure.campaign import CampaignStats
-from repro.measure.health import BreakerEvent, BreakerSnapshot
+from repro.measure.health import BreakerEvent, CircuitBreaker
 
 if TYPE_CHECKING:
     from repro.core.config import StudyConfig
 
 #: The fixed stage order of ``AmazonPeeringStudy.run`` (§3 through §7).
+#: Each name ``<stage>`` is computed by ``AmazonPeeringStudy._compute_<stage>``;
+#: :func:`stages_for` says which of them a configuration runs.
 STAGE_ORDER = (
     "validate",
     "round1",
@@ -85,6 +88,24 @@ STAGE_ORDER = (
     "quality",
 )
 
+
+def stages_for(config: StudyConfig) -> Tuple[str, ...]:
+    """The stages ``config`` runs, in :data:`STAGE_ORDER`.
+
+    Three stages are optional: ``recovery`` runs only with
+    ``adaptive``, ``crossval`` only with ``run_crossval``, and ``vpi``
+    only with ``run_vpi``; every other stage always runs.
+    """
+    skipped: Set[str] = set()
+    if not config.adaptive:
+        skipped.add("recovery")
+    if not config.run_crossval:
+        skipped.add("crossval")
+    if not config.run_vpi:
+        skipped.add("vpi")
+    return tuple(name for name in STAGE_ORDER if name not in skipped)
+
+
 #: Every dataclass a stage payload may contain.  The codec refuses
 #: anything not listed here -- an unknown type in a payload is a bug,
 #: not something to pickle silently.  Changing one's fields means
@@ -94,8 +115,8 @@ _REGISTERED_TYPES: Tuple[Type[Any], ...] = (
     AliasOwnership,
     AnchorSet,
     BreakerEvent,
-    BreakerSnapshot,
     CampaignStats,
+    CircuitBreaker,
     CrossValidationResult,
     DataFaultPlan,
     DataQualityReport,
@@ -289,18 +310,17 @@ class StageStore:
     """One checkpoint record file per pipeline stage.
 
     Files live beside the campaign shard journals under the study's
-    checkpoint directory.  ``resume=False`` clears leftovers from a
-    previous run, mirroring ``CampaignCheckpoint``'s behaviour.  Reads
-    are defensive: a torn, truncated, stale, or fingerprint-mismatched
-    file yields ``None`` (recompute) -- never an exception.
+    checkpoint directory.  Opening the store never touches them: like a
+    campaign journal, a stage's file is rewritten only when that stage
+    is computed again, and whether a run reads them at all is the
+    study's ``resume`` choice.  Reads are defensive: a torn, truncated,
+    stale, or fingerprint-mismatched file yields ``None`` (recompute) --
+    never an exception.
     """
 
-    def __init__(self, root: Union[str, Path], resume: bool = False) -> None:
+    def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        if not resume:
-            for path in self.root.glob("stage_*.json"):
-                path.unlink()
 
     def _path(self, stage: str) -> Path:
         return self.root / f"stage_{safe_name(stage, 'stage')}.json"
@@ -329,9 +349,10 @@ class StageStore:
 
         The file is rewritten in place.  A hard kill mid-save leaves a
         torn file, which :meth:`load` reads as "recompute"; the file it
-        replaced was never valid for this chain anyway -- its fingerprint
-        did not match, which is why the stage was recomputed, or
-        ``resume=False`` had already cleared it.
+        replaced was either invalid for this chain -- its fingerprint
+        did not match, which is why the stage was recomputed -- or a
+        valid record of this same payload that a run without ``resume``
+        chose not to read.
         """
         encoded = encode(payload)
         digest = payload_digest(encoded)

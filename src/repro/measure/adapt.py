@@ -6,7 +6,7 @@ executor's serial merge stream and decides, per merged trace, whether to
 admit it downstream or defer its target behind an open circuit breaker;
 quarantined shards feed the same ledger and queue their targets for
 recovery.  :func:`run_recovery` is the bounded re-probe round the
-pipeline appends to the stage graph: it half-opens open breakers with a
+pipeline runs as its recovery stage: it half-opens open breakers with a
 trial-probe budget and re-issues deferred/lost probes through them,
 healing completeness that a non-adaptive run permanently loses.
 
@@ -32,8 +32,8 @@ from typing import Any, Dict, List, Mapping, Tuple
 from repro.measure.campaign import CampaignStats, CloudMembership
 from repro.measure.health import (
     BreakerEvent,
-    BreakerSnapshot,
     BreakerState,
+    CircuitBreaker,
     HealthLedger,
     classify,
 )
@@ -83,11 +83,12 @@ class RecoveryReport:
     still_lost: int
     trial_probes: int
     recovered_by_label: Tuple[Tuple[str, int], ...]
-    breakers: Tuple[BreakerSnapshot, ...]
+    #: copies of the ledger's breakers once recovery finished.
+    breakers: Tuple[CircuitBreaker, ...]
 
     @property
     def breaker_events(self) -> Tuple[BreakerEvent, ...]:
-        return tuple(e for snap in self.breakers for e in snap.events)
+        return tuple(e for breaker in self.breakers for e in breaker.events)
 
 
 class ProbeGovernor:
@@ -175,7 +176,7 @@ class ProbeGovernor:
         }
 
     def load_state(self, state: Mapping[str, Any]) -> None:
-        self.ledger.restore(tuple(state["breakers"]))
+        self.ledger.restore(state["breakers"])
         self._pending = list(state["pending"])
         self.admitted = int(state["admitted"])
         self.deferred = int(state["deferred"])

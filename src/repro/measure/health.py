@@ -45,8 +45,8 @@ Fold rules (DESIGN.md §6.6):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, List, Tuple
 
 from repro.measure.traceroute import Traceroute
 
@@ -128,46 +128,38 @@ class BreakerEvent:
     reason: str
 
 
-@dataclass(frozen=True)
-class BreakerSnapshot:
-    """Serializable state of one breaker (stage-checkpoint codec type)."""
+@dataclass
+class CircuitBreaker:
+    """One region's breaker: a pure fold over counted probe outcomes.
+
+    A plain dataclass, so the breaker itself is its saved state: the
+    stage codec encodes it as-is, and :meth:`HealthLedger.snapshot`
+    hands out copies.
+    """
 
     cloud: str
     region: str
-    state: str
-    streak: int
-    outcomes: int
-    failures: int
-    rate_limited: int
-    quarantined: int
+    threshold: int
+    state: str = BreakerState.CLOSED
+    streak: int = 0
+    outcomes: int = 0
+    failures: int = 0
+    rate_limited: int = 0
+    quarantined: int = 0
     #: outcome count at the first CLOSED -> OPEN transition; -1 = never.
-    first_open_at: int
-    trial_budget: int
-    trial_successes: int
-    trial_failures: int
-    events: Tuple[BreakerEvent, ...] = ()
+    first_open_at: int = -1
+    trial_budget: int = 0
+    trial_successes: int = 0
+    trial_failures: int = 0
+    events: List[BreakerEvent] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        if self.threshold < 1:
+            raise ValueError(f"threshold must be >= 1, got {self.threshold}")
 
-class CircuitBreaker:
-    """One region's breaker: a pure fold over counted probe outcomes."""
-
-    def __init__(self, cloud: str, region: str, threshold: int) -> None:
-        if threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {threshold}")
-        self.cloud = cloud
-        self.region = region
-        self.threshold = threshold
-        self.state = BreakerState.CLOSED
-        self.streak = 0
-        self.outcomes = 0
-        self.failures = 0
-        self.rate_limited = 0
-        self.quarantined = 0
-        self.first_open_at = -1
-        self.trial_budget = 0
-        self.trial_successes = 0
-        self.trial_failures = 0
-        self.events: List[BreakerEvent] = []
+    def copy(self) -> "CircuitBreaker":
+        """An independent copy (events are frozen, so the list is enough)."""
+        return replace(self, events=list(self.events))
 
     # ------------------------------------------------------------------
 
@@ -287,43 +279,6 @@ class CircuitBreaker:
             )
         return self.state
 
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> BreakerSnapshot:
-        return BreakerSnapshot(
-            cloud=self.cloud,
-            region=self.region,
-            state=self.state,
-            streak=self.streak,
-            outcomes=self.outcomes,
-            failures=self.failures,
-            rate_limited=self.rate_limited,
-            quarantined=self.quarantined,
-            first_open_at=self.first_open_at,
-            trial_budget=self.trial_budget,
-            trial_successes=self.trial_successes,
-            trial_failures=self.trial_failures,
-            events=tuple(self.events),
-        )
-
-    @classmethod
-    def from_snapshot(
-        cls, snap: BreakerSnapshot, threshold: int
-    ) -> "CircuitBreaker":
-        breaker = cls(snap.cloud, snap.region, threshold)
-        breaker.state = snap.state
-        breaker.streak = snap.streak
-        breaker.outcomes = snap.outcomes
-        breaker.failures = snap.failures
-        breaker.rate_limited = snap.rate_limited
-        breaker.quarantined = snap.quarantined
-        breaker.first_open_at = snap.first_open_at
-        breaker.trial_budget = snap.trial_budget
-        breaker.trial_successes = snap.trial_successes
-        breaker.trial_failures = snap.trial_failures
-        breaker.events = list(snap.events)
-        return breaker
-
 
 @dataclass
 class LedgerCounts:
@@ -378,13 +333,10 @@ class HealthLedger:
 
     # ------------------------------------------------------------------
 
-    def snapshot(self) -> Tuple[BreakerSnapshot, ...]:
-        return tuple(b.snapshot() for b in self.breakers())
+    def snapshot(self) -> Tuple[CircuitBreaker, ...]:
+        """Copies of every breaker, in (cloud, region) order."""
+        return tuple(b.copy() for b in self.breakers())
 
-    def restore(self, snapshots: Tuple[BreakerSnapshot, ...]) -> None:
-        self._breakers = {
-            (snap.cloud, snap.region): CircuitBreaker.from_snapshot(
-                snap, self.threshold
-            )
-            for snap in snapshots
-        }
+    def restore(self, breakers: Iterable[CircuitBreaker]) -> None:
+        """Replace every breaker with a copy of ``breakers``."""
+        self._breakers = {(b.cloud, b.region): b.copy() for b in breakers}

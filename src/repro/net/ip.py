@@ -162,16 +162,6 @@ def dot1_of_slash24(p24: Prefix) -> IPv4:
     return p24.network + 1
 
 
-def slash24_network(addr: IPv4) -> IPv4:
-    """The network *integer* of the /24 containing ``addr``.
-
-    The allocation-free fast path behind the target generators: where a
-    caller only needs the /24 key (not a :class:`Prefix` object), one
-    mask beats a dataclass construction with ``__post_init__`` checks.
-    """
-    return addr & 0xFFFFFF00
-
-
 def dot1_targets(slash24s: Iterable[Prefix]) -> List[IPv4]:
     """The ``.1`` of every /24, converted in one batch (§3 sweep list).
 

@@ -382,6 +382,33 @@ class TestConfigFlagPrecedence:
             DataFaultPlan.parse(args.data_fault_plan) == config.data_fault_plan
         )
 
+    def test_header_command_line_parses_its_own_file(self, tmp_path, monkeypatch):
+        """The command a generated file's header names gets past argument
+        parsing and reaches the world build with the file's values."""
+        import shlex
+
+        import repro.cli as cli
+
+        class WorldBuildReached(Exception):
+            pass
+
+        def build_world(world_config):
+            raise WorldBuildReached(world_config)
+
+        config = _full_config()
+        text = config.to_toml()
+        path = tmp_path / "study.toml"
+        path.write_text(text)
+        header = text.splitlines()[0]
+        command = header[header.index("(") + 1 : header.rindex(")")]
+        argv = shlex.split(command.replace("<file>", str(path)))
+        assert argv[0] == "repro"
+        monkeypatch.setattr(cli, "build_world", build_world)
+        with pytest.raises(WorldBuildReached) as excinfo:
+            cli.main(argv[1:])
+        world_config = excinfo.value.args[0]
+        assert (world_config.scale, world_config.seed) == (config.scale, config.seed)
+
     def test_cli_errors_on_bad_config_file(self, tmp_path, capsys):
         from repro.cli import main as cli_main
 

@@ -11,9 +11,11 @@ from collections import Counter
 
 import pytest
 
+from repro.analysis.report import render_salvage
 from repro.core.borders import SegmentRecord
 from repro.core.config import StudyConfig
 from repro.core.pipeline import AmazonPeeringStudy
+from repro.core.results import StudyResult
 from repro.core.stages import (
     STAGE_ORDER,
     StageChain,
@@ -21,11 +23,13 @@ from repro.core.stages import (
     decode,
     encode,
     payload_digest,
+    stages_for,
     study_fingerprint,
 )
 from repro.errors import DataError, StudyInterrupted
 from repro.measure.campaign import CampaignStats
 from repro.measure.supervise import StudySupervisor
+from repro.world.build import WorldConfig, build_world
 
 
 def _config(**overrides):
@@ -192,16 +196,37 @@ class TestStageStore:
         path.write_text(f"{header}\n{json.dumps(tampered)}\n")
         assert store.load("alias", "fp") is None
 
-    def test_fresh_run_clears_stale_checkpoints(self, tmp_path):
-        StageStore(tmp_path).save("alias", "fp", {"n": 3})
-        store = StageStore(tmp_path, resume=False)
-        assert store.load("alias", "fp") is None
-
     def test_resume_keeps_checkpoints_and_leaves_no_temp_files(self, tmp_path):
         StageStore(tmp_path).save("alias", "fp", {"n": 3})
-        store = StageStore(tmp_path, resume=True)
+        store = StageStore(tmp_path)
         assert store.load("alias", "fp") is not None
         assert not list(tmp_path.glob("*.tmp"))
+
+
+# --- which stages run --------------------------------------------------
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+@pytest.mark.parametrize("run_crossval", [False, True])
+@pytest.mark.parametrize("run_vpi", [False, True])
+def test_stages_for_drops_exactly_the_disabled_stages(
+    adaptive, run_crossval, run_vpi
+):
+    config = StudyConfig(
+        adaptive=adaptive, run_crossval=run_crossval, run_vpi=run_vpi
+    )
+    disabled = {
+        stage
+        for stage, enabled in (
+            ("recovery", adaptive),
+            ("crossval", run_crossval),
+            ("vpi", run_vpi),
+        )
+        if not enabled
+    }
+    assert stages_for(config) == tuple(
+        stage for stage in STAGE_ORDER if stage not in disabled
+    )
 
 
 # --- kill/resume bit-identity ------------------------------------------
@@ -240,6 +265,35 @@ def test_killed_after_any_stage_resumes_bit_identically(
         assert calls.get(done, 0) == 0, f"stage {done!r} recomputed on resume"
     for pending in [s for s in STAGE_ORDER if s not in completed]:
         assert calls.get(pending) == 1, f"stage {pending!r} did not run"
+
+
+def test_fresh_run_recomputes_every_stage_over_valid_records(
+    tiny_world, tmp_path, monkeypatch, clean_digest
+):
+    """A run that does not resume computes every stage, even when the
+    checkpoint directory holds a valid record for each of them."""
+    config = _config(checkpoint_dir=str(tmp_path))
+    AmazonPeeringStudy(tiny_world, config=config).run()
+    calls = _install_compute_spies(monkeypatch)
+    result = AmazonPeeringStudy(tiny_world, config=config).run()
+    assert calls == {stage: 1 for stage in STAGE_ORDER}
+    assert result.digest() == clean_digest
+
+
+def test_second_run_returns_the_first_runs_digest():
+    """Each run owns its observatory: a second run() on one study starts
+    from scratch instead of ingesting on top of the first run's traces."""
+    world = build_world(WorldConfig(scale=0.005, seed=13))
+    study = AmazonPeeringStudy(
+        world,
+        StudyConfig(scale=0.005, seed=1, expansion_stride=8, run_crossval=False),
+    )
+    first = study.run()
+    first_observatory = study.observatory
+    second = study.run()
+    assert second.digest() == first.digest()
+    assert study.observatory is not first_observatory
+    assert study.observatory.stats.ingested == first_observatory.stats.ingested
 
 
 def test_recovery_stage_skipped_when_not_adaptive(
@@ -379,6 +433,38 @@ class TestSalvage:
         assert recovered == [
             "validate", "round1", "round2", "recovery",
             "heuristics", "alias", "pinning",
+        ]
+
+    def test_construction_and_salvage_leave_records_byte_identical(
+        self, tiny_world, tmp_path
+    ):
+        """Neither building a study nor salvaging writes a record, and the
+        recovered prefix does not depend on ``resume``."""
+        config = _config(checkpoint_dir=str(tmp_path), adaptive=False)
+        supervisor = StudySupervisor(abort_after_stage="alias")
+        with pytest.raises(StudyInterrupted):
+            AmazonPeeringStudy(
+                tiny_world, config=config, supervisor=supervisor
+            ).run()
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert len([name for name in before if name.startswith("stage_")]) == 5
+        for resume in (False, True):
+            _, recovered = AmazonPeeringStudy(
+                tiny_world, config=config.replace(resume=resume)
+            ).salvage()
+            assert recovered == [
+                "validate", "round1", "round2", "heuristics", "alias",
+            ]
+            after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+            assert after == before
+
+    def test_salvage_report_names_only_stages_the_config_runs(self):
+        result = StudyResult(config=StudyConfig(run_vpi=False))
+        report = render_salvage(result, ["validate", "round1"])
+        missing = [line for line in report.splitlines() if "missing" in line]
+        assert missing == [
+            "  missing stages (resume to compute): round2, heuristics, "
+            "alias, pinning, crossval, grouping, icg, quality"
         ]
 
     def test_salvage_without_checkpoints_recovers_nothing(
