@@ -18,8 +18,9 @@ The package has four layers:
 
 Cross-cutting: :mod:`repro.obs` is the digest-neutral span tracer and
 trace exporter behind ``--trace-out`` / ``repro trace``,
-:class:`repro.measure.sink.EventSink` is the consolidated consumer of
-probe / shard-merged / span-closed events, and :mod:`repro.bench` is
+:class:`repro.measure.sink.EventSink` is the run's one observer of
+probe / shard-merged / span-closed events (every campaign reports to it,
+and whoever builds a sink owns it), and :mod:`repro.bench` is
 the ``repro bench`` perf harness (scenario runs folded into diffable
 ``BENCH_<scenario>.json`` reports).
 
@@ -55,7 +56,7 @@ from repro.measure.checkpoint import CheckpointStore
 from repro.measure.executor import RetryPolicy
 from repro.measure.faults import FaultPlan
 from repro.measure.supervise import StudySupervisor
-from repro.measure.sink import EventSink, FanoutEvents
+from repro.measure.sink import EventSink
 from repro.obs import (
     NULL_TRACER,
     SpanRecord,
@@ -78,7 +79,6 @@ __all__ = [
     "DeadlineExceeded",
     "EXIT_INTERRUPTED",
     "EventSink",
-    "FanoutEvents",
     "FaultPlan",
     "NULL_TRACER",
     "ReproError",

@@ -13,6 +13,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
@@ -179,8 +180,10 @@ def _config_defaults(config: StudyConfig) -> Dict[str, Any]:
 class _ProgressPrinter(EventSink):
     """Throttled stderr progress for ``--progress``.
 
-    Merged shards print the campaign record's running count and rate,
-    throttled to ``min_interval``.  Every campaign's last line comes from
+    Merged shards of every campaign, VPI included, print the campaign
+    record's running count and rate, throttled to ``min_interval`` on
+    the monotonic clock, so a wall clock stepping back cannot silence
+    it.  Every campaign's last line comes from
     its campaign span closing, which carries the final counters and the
     elapsed time, so the last update can never be swallowed by the
     throttle -- or skipped when the final shard is quarantined and never
@@ -189,7 +192,7 @@ class _ProgressPrinter(EventSink):
 
     def __init__(self, min_interval: float = 0.5) -> None:
         self._min_interval = min_interval
-        self._last_time = 0.0
+        self._last_time = -math.inf
 
     def on_shard_merged(
         self, record: CampaignStats, timing: ShardTiming
@@ -197,7 +200,7 @@ class _ProgressPrinter(EventSink):
         merged = record.probes + record.lost_probes
         if merged >= record.expected_probes:
             return  # the campaign span's closing line reports the end
-        now = time.time()
+        now = time.monotonic()
         if now - self._last_time < self._min_interval:
             return
         self._last_time = now

@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.net.ip import IPv4
 from repro.core.annotate import HopAnnotation, HopAnnotator
-from repro.measure.sink import EventSink
 from repro.measure.traceroute import Traceroute
 
 
@@ -82,7 +81,7 @@ class ObservatoryStats:
     low_confidence: int = 0
 
 
-class BorderObservatory(EventSink):
+class BorderObservatory:
     """Streaming implementation of the basic inference strategy.
 
     ``min_confidence`` flags -- never filters -- segments whose border
@@ -120,11 +119,6 @@ class BorderObservatory(EventSink):
             self.annotator = annotator
 
     # ------------------------------------------------------------------
-
-    def on_probe(self, trace: Traceroute) -> None:
-        """Campaign executors feed sinks; :meth:`ingest` remains the
-        primary API and still returns the candidate segment."""
-        self.ingest(trace)
 
     def ingest(self, trace: Traceroute) -> Optional[Tuple[IPv4, IPv4]]:
         """Process one traceroute; returns the candidate segment, if any."""

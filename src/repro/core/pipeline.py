@@ -12,10 +12,13 @@ Configuration lives in one frozen :class:`StudyConfig`.  With
 ``(seed, cloud, region, dst)`` and shards merge in serial order -- the
 ``StudyResult`` is identical for any worker count.  Every campaign of a
 run (round 1, round 2 and the VPI clouds) runs on one
-:class:`~repro.measure.executor.ShardedExecutor` and keeps one
+:class:`~repro.measure.executor.ShardedExecutor`, feeds its traces to a
+border observatory's ``ingest`` and keeps one
 :class:`~repro.measure.campaign.CampaignStats` record, registered on
-``result.metrics``; an optional :class:`~repro.measure.sink.EventSink`
-sees every probe, merged shard and closed span of the run.
+``result.metrics``.  An optional :class:`~repro.measure.sink.EventSink`
+is the run's one observer: it sees every delivered probe (recovery's
+included), merged shard and closed span, and the caller that built it
+owns it -- the study never closes it.
 
 A run walks :func:`~repro.core.stages.stages_for` its config, in
 :data:`~repro.core.stages.STAGE_ORDER`.  A stage is one method,
@@ -65,7 +68,7 @@ from repro.measure.dnslookup import ReverseDNS
 from repro.measure.executor import RetryPolicy, ShardedExecutor
 from repro.measure.health import HealthLedger
 from repro.measure.metrics import StudyMetrics
-from repro.measure.sink import EventSink, FanoutEvents
+from repro.measure.sink import EventSink
 from repro.measure.ping import Pinger
 from repro.measure.supervise import StudySupervisor
 from repro.obs.export import write_trace
@@ -78,11 +81,11 @@ class _RunContext:
     """Everything one ``run()`` or ``salvage()`` call owns.
 
     The result under construction, the metrics/tracer pair, the executor
-    every campaign runs on, the event-stream helpers, and the run's own
-    mutable state: its border observatory, its adaptive governor, and
-    the validate stage's report.  Each call builds a fresh context, so a
-    second ``run()`` on one study starts from nothing the first left
-    behind.
+    every campaign runs on (it carries the study's observer), and the
+    run's own mutable state: its border observatory, its adaptive
+    governor, and the validate stage's report.  Each call builds a fresh
+    context, so a second ``run()`` on one study starts from nothing the
+    first left behind.
     """
 
     def __init__(
@@ -90,7 +93,6 @@ class _RunContext:
         result: StudyResult,
         metrics: StudyMetrics,
         executor: ShardedExecutor,
-        events: Optional[EventSink],
         observatory: BorderObservatory,
         governor: Optional[ProbeGovernor],
     ) -> None:
@@ -98,18 +100,11 @@ class _RunContext:
         self.metrics = metrics
         self.tracer = metrics.tracer
         self.executor = executor
-        self.events = events
         self.observatory = observatory
         #: adaptive control plane (None unless ``config.adaptive``).
         self.governor = governor
         #: set by the validate stage; consumed by the quality stage.
         self.validation: Optional[DatasetValidationReport] = None
-
-    def campaign_sink(self, sink: EventSink) -> EventSink:
-        """Tee a campaign's event stream to the study-wide sink."""
-        if self.events is None:
-            return sink
-        return FanoutEvents(sink, self.events)
 
     def probe_state(self) -> Dict[str, Any]:
         """The probing stages' share of the payload: observatory and governor."""
@@ -133,8 +128,9 @@ class AmazonPeeringStudy:
         config = config if config is not None else StudyConfig()
         self.world = world
         self.config = config
-        #: the run's one event consumer: probes, merged shards, and
-        #: closed spans all flow here.
+        #: the run's one observer: every campaign's delivered probes and
+        #: merged shards, and every closed span, flow here.  The caller
+        #: owns it; the study never closes it.
         self.events = events
         seed = config.seed
 
@@ -240,6 +236,7 @@ class AmazonPeeringStudy:
             retry=self.retry_policy,
             supervisor=self.supervisor,
             checkpoint_store=self.checkpoint_store,
+            events=self.events,
             tracer=metrics.tracer,
             worker_spans=worker_spans,
         )
@@ -247,9 +244,7 @@ class AmazonPeeringStudy:
             self.annotator_r1, min_confidence=config.min_confidence
         )
         self.observatory = observatory
-        return _RunContext(
-            result, metrics, executor, self.events, observatory, governor
-        )
+        return _RunContext(result, metrics, executor, observatory, governor)
 
     def _stage_chain(self) -> StageChain:
         return StageChain(
@@ -271,9 +266,8 @@ class AmazonPeeringStudy:
         ctx = self._make_context(bool(config.trace or config.trace_out))
         metrics = ctx.metrics
         tracer = ctx.tracer
-        events = self.events
-        if events is not None:
-            tracer.add_listener(events.on_span_closed)
+        if self.events is not None:
+            tracer.add_listener(self.events.on_span_closed)
         study_span = tracer.span("study", category="study")
         store = self.stage_store
         supervisor = self.supervisor
@@ -338,8 +332,6 @@ class AmazonPeeringStudy:
                         "workers": config.workers,
                     },
                 )
-            if events is not None:
-                events.close()
         return ctx.result
 
     def salvage(self) -> Tuple[StudyResult, List[str]]:
@@ -479,7 +471,7 @@ class AmazonPeeringStudy:
             "amazon",
             "round1",
             round1_targets(self.world),
-            ctx.campaign_sink(ctx.observatory),
+            ctx.observatory.ingest,
             governor=ctx.governor,
         )
         ctx.metrics.campaigns[stats.label] = stats
@@ -505,7 +497,7 @@ class AmazonPeeringStudy:
             "amazon",
             "round2",
             expansion_targets(r1_cbis, self.config.expansion_stride),
-            ctx.campaign_sink(ctx.observatory),
+            ctx.observatory.ingest,
             governor=ctx.governor,
         )
         ctx.metrics.campaigns[stats.label] = stats
@@ -536,20 +528,13 @@ class AmazonPeeringStudy:
             stats_by_label["round1"] = ctx.result.round1_stats
         if ctx.result.round2_stats is not None:
             stats_by_label["round2"] = ctx.result.round2_stats
-        events = ctx.campaign_sink(ctx.observatory)
-        try:
-            report = run_recovery(
-                ctx.governor,
-                self.engine,
-                ctx.executor.membership("amazon"),
-                stats_by_label,
-                events,
-                rounds=self.config.recovery_rounds,
-                supervisor=self.supervisor,
-                tracer=ctx.tracer,
-            )
-        finally:
-            events.close()
+        report = run_recovery(
+            ctx.governor,
+            ctx.executor,
+            stats_by_label,
+            ctx.observatory.ingest,
+            rounds=self.config.recovery_rounds,
+        )
         # Recovery heals the round stats in place; the payload carries
         # the healed records.
         return {

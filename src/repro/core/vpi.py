@@ -88,7 +88,9 @@ class VPIDetector:
         running: Set[IPv4] = set()
         for cloud in self.clouds:
             observatory = BorderObservatory(self.annotators[cloud])
-            stats = self.executor.run(cloud, f"vpi:{cloud}", pool, observatory)
+            stats = self.executor.run(
+                cloud, f"vpi:{cloud}", pool, observatory.ingest
+            )
             other_cbis = observatory.candidate_cbis()
             overlap = set(amazon_cbis) & other_cbis
             result.pairwise[cloud] = overlap

@@ -25,7 +25,7 @@ from repro.measure.faults import FaultPlan, InjectedWorkerCrash
 from repro.measure.metrics import ShardTiming, StudyMetrics
 from repro.measure.ping import Pinger
 from repro.measure.reachability import PublicVantagePoint
-from repro.measure.sink import CollectorSink, EventSink, FanoutEvents
+from repro.measure.sink import EventSink
 from repro.measure.traceroute import (
     GAP_LIMIT,
     StopReason,
@@ -40,9 +40,7 @@ __all__ = [
     "CampaignStats",
     "CheckpointStore",
     "CloudMembership",
-    "CollectorSink",
     "EventSink",
-    "FanoutEvents",
     "FaultPlan",
     "GAP_LIMIT",
     "InjectedWorkerCrash",

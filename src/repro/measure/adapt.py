@@ -27,9 +27,9 @@ lost otherwise, exactly as today.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Tuple
 
-from repro.measure.campaign import CampaignStats, CloudMembership
+from repro.measure.campaign import CampaignStats
 from repro.measure.health import (
     BreakerEvent,
     BreakerState,
@@ -37,10 +37,10 @@ from repro.measure.health import (
     HealthLedger,
     classify,
 )
-from repro.measure.sink import EventSink
-from repro.measure.supervise import StudySupervisor
-from repro.measure.traceroute import Traceroute, TracerouteEngine
-from repro.obs.span import NULL_TRACER, TracerLike
+from repro.measure.traceroute import Traceroute
+
+if TYPE_CHECKING:
+    from repro.measure.executor import ShardedExecutor
 
 #: Half-open trial probes granted per breaker per recovery round.
 TRIAL_BUDGET = 8
@@ -194,13 +194,10 @@ def _salt_for(target: DeferredTarget, round_index: int) -> int:
 
 def run_recovery(
     governor: ProbeGovernor,
-    engine: TracerouteEngine,
-    membership: CloudMembership,
+    executor: "ShardedExecutor",
     stats_by_label: Mapping[str, CampaignStats],
-    events: EventSink,
+    ingest: Callable[[Traceroute], object],
     rounds: int,
-    supervisor: StudySupervisor,
-    tracer: TracerLike = NULL_TRACER,
     trial_budget: int = TRIAL_BUDGET,
 ) -> RecoveryReport:
     """Re-issue deferred/lost probes through half-open breakers.
@@ -210,9 +207,16 @@ def run_recovery(
     breaker it visits (spending one unit of the study-wide retry budget
     per breaker, when a budget is configured) and re-probes through it;
     the supervisor is polled between regions so ``--deadline`` and
-    cancellation are honoured at safe points.  Recovered traces flow to
-    ``events`` (the observatory) and heal their campaign's stats.
+    cancellation are honoured at safe points.  Engine, supervisor,
+    tracer, observer and the governor's cloud membership are the
+    ``executor``'s, the ones the campaigns ran with.  Each recovered
+    trace goes to ``ingest`` (the observatory), then to the observer's
+    ``on_probe``, and heals its campaign's stats.
     """
+    engine = executor.engine
+    membership = executor.membership(governor.cloud)
+    on_probe = executor.events.on_probe
+    supervisor = executor.supervisor
     pending = governor.take_pending()
     deferred_total = sum(1 for t in pending if t.cause == CAUSE_BREAKER)
     quarantine_total = len(pending) - deferred_total
@@ -229,7 +233,8 @@ def run_recovery(
             stats.record(trace, membership.left_cloud(trace))
             stats.lost_probes -= 1
             stats.recovered_probes += 1
-        events.on_probe(trace)
+        ingest(trace)
+        on_probe(trace)
         by_label[target.label] = by_label.get(target.label, 0) + 1
         recovered += 1
 
@@ -258,7 +263,7 @@ def run_recovery(
             break
         supervisor.poll()
         rounds_run += 1
-        span = tracer.span(f"recovery:{round_index}", category="recovery")
+        span = executor.tracer.span(f"recovery:{round_index}", category="recovery")
         span.set("queued", len(pending))
         next_pending: List[DeferredTarget] = []
         for key in sorted({(t.cloud, t.region) for t in pending}):

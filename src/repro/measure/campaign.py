@@ -6,7 +6,8 @@ every other address of the /24s around the CBIs discovered in round 1
 (:func:`expansion_targets`).  The VPI round re-probes a target pool from
 the four other clouds (:func:`vpi_target_pool`).  Every campaign runs on
 the study's one :class:`~repro.measure.executor.ShardedExecutor`, which
-streams traces into :class:`~repro.measure.sink.EventSink` consumers and
+feeds each delivered trace to the campaign's consumer function, reports
+it to the run's one :class:`~repro.measure.sink.EventSink` observer, and
 keeps one :class:`CampaignStats` record per campaign.
 """
 

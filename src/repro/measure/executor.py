@@ -39,12 +39,13 @@ results as a clean serial run once every shard eventually succeeds.
 
 One executor serves every campaign of a study run (round 1, round 2 and
 the VPI clouds).  It holds what they share -- world, engine, workers,
-retry policy, supervisor, checkpoint store and tracer -- and
-:meth:`ShardedExecutor.run` takes what differs: cloud, label, targets,
-sink and the optional adaptive governor.  The engine's
-:class:`~repro.measure.faults.FaultPlan` is the only fault plan: its
-observation side shapes trace content inside the engine, and its
-transport side (crash, slow, poison) fires in :func:`trace_shard`.
+retry policy, supervisor, checkpoint store, tracer and the run's one
+observer -- and :meth:`ShardedExecutor.run` takes what differs: cloud,
+label, targets, the consumer function and the optional adaptive
+governor.  The engine's :class:`~repro.measure.faults.FaultPlan` is the
+only fault plan: its observation side shapes trace content inside the
+engine, and its transport side (crash, slow, poison) fires in
+:func:`trace_shard`.
 
 Workers rebuild their ``TracerouteEngine`` from the pickled world plus the
 engine seed and fault plan in the pool initializer; no live engine state
@@ -368,12 +369,15 @@ class ShardedExecutor:
 
     The supervisor defaults to a bare :class:`StudySupervisor`, which
     has no deadline and no retry budget, so it only answers
-    cancellation.  ``tracer`` records a ``campaign:<label>`` span per
-    campaign with one ``shard`` span per merged shard;
-    ``worker_spans=True`` additionally traces inside shard attempts
-    (probe batches, fault delays, wire packing -- worker-side rows cross
-    the pool boundary on the wire tuple and are adopted under the
-    parent's shard span).  Tracing is digest-neutral: it reads
+    cancellation.  ``events`` is the run's one observer (``None`` means
+    a no-op :class:`EventSink`): every campaign run here, and the
+    recovery round, report to it.  The executor never closes it; the
+    code that built it owns it.  ``tracer`` records a
+    ``campaign:<label>`` span per campaign with one ``shard`` span per
+    merged shard; ``worker_spans=True`` additionally traces inside shard
+    attempts (probe batches, fault delays, wire packing -- worker-side
+    rows cross the pool boundary on the wire tuple and are adopted under
+    the parent's shard span).  Tracing is digest-neutral: it reads
     ``perf_counter`` only and never touches the merged stream.
     """
 
@@ -387,6 +391,7 @@ class ShardedExecutor:
         retry: Optional[RetryPolicy] = None,
         supervisor: Optional[StudySupervisor] = None,
         checkpoint_store: Optional[CheckpointStore] = None,
+        events: Optional[EventSink] = None,
         tracer: TracerLike = NULL_TRACER,
         worker_spans: bool = False,
     ) -> None:
@@ -397,6 +402,7 @@ class ShardedExecutor:
         self.retry = retry or RetryPolicy()
         self.supervisor = supervisor if supervisor is not None else StudySupervisor()
         self.checkpoint_store = checkpoint_store
+        self.events = events if events is not None else EventSink()
         self.tracer = tracer
         self.worker_spans = worker_spans
         self._memberships: Dict[str, CloudMembership] = {}
@@ -415,19 +421,19 @@ class ShardedExecutor:
         cloud: str,
         label: str,
         targets: Iterable[IPv4],
-        sink: EventSink,
+        ingest: Callable[[Traceroute], object],
         *,
         regions: Optional[Sequence[str]] = None,
         governor: Optional["ProbeGovernor"] = None,
     ) -> CampaignStats:
-        """Trace ``regions x targets`` from ``cloud``, streaming to ``sink``.
+        """Trace ``regions x targets`` from ``cloud``, feeding ``ingest``.
 
         ``targets`` may be any iterable; it is materialized exactly once.
-        ``regions`` defaults to every region of ``cloud``.  Merged traces
-        arrive at ``sink`` as ``on_probe`` events in serial order, each
-        merged shard fires ``on_shard_merged`` with the campaign's
-        record, and the sink's ``close()`` fires after the last event.
-        The returned :class:`CampaignStats` is that record, labelled
+        ``regions`` defaults to every region of ``cloud``.  Each delivered
+        trace goes to ``ingest(trace)``, then to the observer's
+        ``on_probe``, in serial order; each merged shard fires the
+        observer's ``on_shard_merged`` with the campaign's record.  The
+        returned :class:`CampaignStats` is that record, labelled
         ``label`` and updated in merge order.  With a checkpoint store,
         completed shards are journalled under ``label`` and replayed on
         the next run.  A ``governor`` makes adaptive admit/defer
@@ -462,7 +468,7 @@ class ShardedExecutor:
                 self._merge(
                     shards,
                     lambda s: self._run_shard(cloud, s, None, checkpoint, stats),
-                    sink,
+                    ingest,
                     stats,
                     started,
                     governor,
@@ -493,7 +499,7 @@ class ShardedExecutor:
                         lambda s: self._run_shard(
                             cloud, s, pending.get(s.index), checkpoint, stats
                         ),
-                        sink,
+                        ingest,
                         stats,
                         started,
                         governor,
@@ -514,7 +520,6 @@ class ShardedExecutor:
                 # fsync the journal -- runs on interrupts too, so a
                 # cancelled study leaves a durable journal behind.
                 checkpoint.finalize()
-            sink.close()
         return stats
 
     # ------------------------------------------------------------------
@@ -677,7 +682,7 @@ class ShardedExecutor:
         self,
         shards: Sequence[Shard],
         fetch: Callable[[Shard], _ShardOutcome],
-        events: EventSink,
+        ingest: Callable[[Traceroute], object],
         stats: CampaignStats,
         started: float,
         governor: Optional["ProbeGovernor"],
@@ -699,6 +704,7 @@ class ShardedExecutor:
         worker scheduling.
         """
         tracer = self.tracer
+        on_probe = self.events.on_probe
         for shard in shards:
             self.supervisor.poll()
             span = tracer.span(f"shard:{shard.index}", category="shard")
@@ -727,7 +733,8 @@ class ShardedExecutor:
                     deferred_here += 1
                     continue
                 stats.record(trace, left_cloud)
-                events.on_probe(trace)
+                ingest(trace)
+                on_probe(trace)
             if deferred_here:
                 span.set("deferred", deferred_here)
             span.set("probes", len(result.items))
@@ -737,7 +744,7 @@ class ShardedExecutor:
             if outcome.resumed:
                 span.set("resumed", 1)
             span.close()
-            events.on_shard_merged(
+            self.events.on_shard_merged(
                 stats,
                 ShardTiming(
                     index=result.index,

@@ -15,7 +15,7 @@ from repro.measure.executor import (
     plan_shards,
 )
 from repro.measure.metrics import StudyMetrics
-from repro.measure.sink import CollectorSink, EventSink, NullSink
+from repro.measure.sink import EventSink
 from repro.measure.traceroute import TracerouteEngine
 
 
@@ -91,7 +91,9 @@ class TestExpansionStrideEdges:
         executor = ShardedExecutor(tiny_world, TracerouteEngine(tiny_world))
         region = tiny_world.region_names("amazon")[:1]
         targets = iter([p.network + 1 for p in tiny_world.sweep_slash24s[:5]])
-        stats = executor.run("amazon", "campaign", targets, NullSink(), regions=region)
+        stats = executor.run(
+            "amazon", "campaign", targets, lambda trace: None, regions=region
+        )
         assert stats.probes == 5
 
 
@@ -99,15 +101,15 @@ class TestExecutorDeterminism:
     def _run(self, world, workers):
         engine = TracerouteEngine(world, seed=1)
         executor = ShardedExecutor(world, engine, workers=workers)
-        sink = CollectorSink()
+        traces = []
         stats = executor.run(
             "amazon",
             "campaign",
             [p.network + 1 for p in world.sweep_slash24s[:30]],
-            sink,
+            traces.append,
             regions=world.region_names("amazon")[:3],
         )
-        return sink.traces, stats
+        return traces, stats
 
     def test_worker_counts_agree(self, tiny_world):
         traces1, stats1 = self._run(tiny_world, workers=1)
@@ -130,10 +132,10 @@ class TestExecutorDeterminism:
 
     def test_empty_target_list(self, tiny_world):
         executor = ShardedExecutor(tiny_world, TracerouteEngine(tiny_world), workers=4)
-        sink = CollectorSink()
-        stats = executor.run("amazon", "campaign", [], sink)
+        traces = []
+        stats = executor.run("amazon", "campaign", [], traces.append)
         assert stats.probes == 0
-        assert sink.traces == []
+        assert traces == []
 
 
 class _ShardLog(EventSink):
@@ -149,14 +151,16 @@ class _ShardLog(EventSink):
 class TestProgress:
     def test_progress_counts_and_timings(self, tiny_world):
         metrics = StudyMetrics()
+        sink = _ShardLog()
         executor = ShardedExecutor(
             tiny_world, TracerouteEngine(tiny_world), workers=2,
-            tracer=metrics.tracer,
+            events=sink, tracer=metrics.tracer,
         )
         regions = tiny_world.region_names("amazon")[:2]
         targets = [p.network + 1 for p in tiny_world.sweep_slash24s[:10]]
-        sink = _ShardLog()
-        stats = executor.run("amazon", "test", targets, sink, regions=regions)
+        stats = executor.run(
+            "amazon", "test", targets, lambda trace: None, regions=regions
+        )
         assert stats.label == "test"
         assert stats.probes == len(targets) * len(regions)
         assert stats.expected_probes == stats.probes
@@ -176,12 +180,14 @@ class TestProgress:
 
     def test_callback_fires_per_shard(self, tiny_world):
         sink = _ShardLog()
-        executor = ShardedExecutor(tiny_world, TracerouteEngine(tiny_world))
+        executor = ShardedExecutor(
+            tiny_world, TracerouteEngine(tiny_world), events=sink
+        )
         stats = executor.run(
             "amazon",
             "cb",
             [p.network + 1 for p in tiny_world.sweep_slash24s[:4]],
-            sink,
+            lambda trace: None,
             regions=tiny_world.region_names("amazon")[:1],
         )
         indices = [index for _, index, _, _ in sink.seen]
@@ -201,13 +207,14 @@ class TestProgress:
 
         metrics = StudyMetrics()
         executor = ShardedExecutor(
-            tiny_world, TracerouteEngine(tiny_world), tracer=metrics.tracer
+            tiny_world, TracerouteEngine(tiny_world),
+            events=_Clock(), tracer=metrics.tracer,
         )
         executor.run(
             "amazon",
             "clock",
             [p.network + 1 for p in tiny_world.sweep_slash24s[:4]],
-            _Clock(),
+            lambda trace: None,
             regions=tiny_world.region_names("amazon")[:2],
         )
         span, _latencies = metrics.campaign_clock("clock")

@@ -14,6 +14,7 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.fsutil import read_records
 from repro.measure.campaign import round1_targets
@@ -25,7 +26,7 @@ from repro.measure.executor import (
     plan_shards,
 )
 from repro.measure.faults import FaultPlan, InjectedWorkerCrash
-from repro.measure.sink import CollectorSink
+from repro.measure.sink import EventSink
 from repro.measure.traceroute import TracerouteEngine
 
 
@@ -44,8 +45,9 @@ def _fingerprint(traces):
 
 
 def _run(world, targets, regions, workers=1, faults=None, retry=None,
-         shard_size=None, checkpoint_store=None, label="campaign"):
-    """Run one campaign, returning (trace fingerprints, its record)."""
+         shard_size=None, checkpoint_store=None, label="campaign",
+         events=None):
+    """Run one campaign, returning (ingested trace fingerprints, its record)."""
     executor = ShardedExecutor(
         world,
         TracerouteEngine(world, faults=faults),
@@ -53,10 +55,39 @@ def _run(world, targets, regions, workers=1, faults=None, retry=None,
         shard_size=shard_size,
         retry=retry or RetryPolicy(backoff_base_s=0.0),
         checkpoint_store=checkpoint_store,
+        events=events,
     )
-    sink = CollectorSink()
-    stats = executor.run("amazon", label, targets, sink, regions=regions)
-    return _fingerprint(sink.traces), stats
+    traces = []
+    stats = executor.run("amazon", label, targets, traces.append, regions=regions)
+    return _fingerprint(traces), stats
+
+
+class _ProbeLog(EventSink):
+    """An observer that keeps every delivered trace, in order."""
+
+    def __init__(self):
+        self.traces = []
+
+    def on_probe(self, trace):
+        self.traces.append(trace)
+
+
+#: Transport faults (crashes that a retry outlives) mixed with
+#: observation faults (loss everywhere, rate-limit windows).
+fault_plans = st.builds(
+    lambda seed, crash, attempts, loss, rate_limit: FaultPlan(
+        seed=seed,
+        crash_rate=crash,
+        crash_attempts=attempts,
+        region_loss={"*": loss},
+        rate_limit_rate=rate_limit,
+    ),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.floats(min_value=0.0, max_value=0.6),
+    st.sampled_from((1, 2)),
+    st.floats(min_value=0.0, max_value=0.3),
+    st.floats(min_value=0.0, max_value=0.5),
+)
 
 
 def _journal_fingerprint(world, probe_space, faults):
@@ -294,6 +325,30 @@ class TestExecutorResilience:
             assert stats.failures, "the crash plan never fired"
             assert not stats.quarantined
             assert stats.completeness == 1.0
+
+    # The worker pool takes a while to start, hence no deadline.
+    @settings(max_examples=20, deadline=None)
+    @example(workers=2, plan=FaultPlan(seed=5, crash_rate=0.5, crash_attempts=1))
+    @given(workers=st.sampled_from((1, 2)), plan=fault_plans)
+    def test_delivered_stream_does_not_depend_on_the_schedule(
+        self, tiny_world, probe_space, workers, plan
+    ):
+        """Whatever crashes and retries a plan causes, ``ingest`` and the
+        observer see the stream, and the campaign keeps the record, of a
+        serial run of the same plan without crashes."""
+        targets, regions = probe_space
+        reference, reference_stats = _run(
+            tiny_world, targets, regions, faults=plan.replace(crash_rate=0.0)
+        )
+        observer = _ProbeLog()
+        traces, stats = _run(
+            tiny_world, targets, regions, workers=workers, faults=plan,
+            events=observer,
+        )
+        assert traces == reference
+        assert _fingerprint(observer.traces) == reference
+        assert stats == reference_stats
+        assert not stats.quarantined
 
     def test_timeout_retries_inline_and_matches_clean(
         self, tiny_world, probe_space

@@ -13,7 +13,6 @@ from repro.measure.dnslookup import ReverseDNS
 from repro.measure.executor import ShardedExecutor
 from repro.measure.ping import PROCESSING_FLOOR_MS, Pinger
 from repro.measure.reachability import PublicVantagePoint
-from repro.measure.sink import NullSink
 from repro.measure.traceroute import TracerouteEngine
 
 
@@ -221,7 +220,7 @@ class TestCampaign:
             "amazon",
             "campaign",
             [p.network + 1 for p in tiny_world.sweep_slash24s[:10]],
-            NullSink(),
+            lambda trace: None,
             regions=tiny_world.region_names("amazon")[:2],
         )
         assert stats.probes == 20

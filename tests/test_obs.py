@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from repro.core.config import StudyConfig
 from repro.core.pipeline import AmazonPeeringStudy
 from repro.measure.executor import ShardedExecutor
-from repro.measure.sink import CollectorSink, NullSink
 from repro.measure.traceroute import TracerouteEngine
 from repro.obs.analyze import (
     campaign_funnel,
@@ -266,19 +265,19 @@ class TestCampaignTracing:
             world, TracerouteEngine(world), workers=workers,
             tracer=tracer, worker_spans=True,
         )
-        sink = CollectorSink()
+        traces = []
         stats = executor.run(
             "amazon",
             "round1",
             [p.network + 1 for p in world.sweep_slash24s[:20]],
-            sink,
+            traces.append,
             regions=world.region_names("amazon")[:2],
         )
-        return tracer.records, stats, sink
+        return tracer.records, stats, traces
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_span_hierarchy_covers_the_campaign(self, tiny_world, workers):
-        records, stats, sink = self._traced_run(tiny_world, workers)
+        records, stats, _traces = self._traced_run(tiny_world, workers)
         by_cat = {}
         for r in records:
             by_cat.setdefault(r.category, []).append(r)
@@ -318,19 +317,19 @@ class TestCampaignTracing:
         assert len(shards) == len({s.name for s in shards})
 
     def test_tracing_does_not_change_the_trace_stream(self, tiny_world):
-        _, stats_traced, sink_traced = self._traced_run(tiny_world, 2)
+        _, stats_traced, traces_traced = self._traced_run(tiny_world, 2)
         executor = ShardedExecutor(tiny_world, TracerouteEngine(tiny_world), workers=2)
-        sink_plain = CollectorSink()
+        traces_plain = []
         stats_plain = executor.run(
             "amazon",
             "round1",
             [p.network + 1 for p in tiny_world.sweep_slash24s[:20]],
-            sink_plain,
+            traces_plain.append,
             regions=tiny_world.region_names("amazon")[:2],
         )
         assert stats_traced == stats_plain
-        assert [repr(t) for t in sink_traced.traces] == [
-            repr(t) for t in sink_plain.traces
+        assert [repr(t) for t in traces_traced] == [
+            repr(t) for t in traces_plain
         ]
 
 
@@ -345,7 +344,7 @@ class TestTraceAnalyzer:
             "amazon",
             "round1",
             [p.network + 1 for p in tiny_world.sweep_slash24s[:20]],
-            NullSink(),
+            lambda trace: None,
             regions=tiny_world.region_names("amazon")[:2],
         )
         path = tmp_path / "trace.jsonl"

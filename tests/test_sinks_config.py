@@ -1,4 +1,4 @@
-"""The EventSink surface, sink composition, and the StudyConfig redesign."""
+"""The EventSink surface, the run's one observer, and the StudyConfig redesign."""
 
 import dataclasses
 
@@ -8,8 +8,10 @@ from repro.core.borders import BorderObservatory
 from repro.core.config import StudyConfig
 from repro.core.pipeline import AmazonPeeringStudy
 from repro.measure.campaign import CampaignStats
-from repro.measure.sink import CollectorSink, EventSink, FanoutEvents, NullSink
+from repro.measure.faults import FaultPlan
+from repro.measure.sink import EventSink
 from repro.measure.traceroute import StopReason, TraceHop, Traceroute
+from repro.world.build import WorldConfig, build_world
 
 
 def _trace(region="use1", dst=0x0B000001, completed=True):
@@ -22,28 +24,7 @@ def _trace(region="use1", dst=0x0B000001, completed=True):
     )
 
 
-class _Tagged(EventSink):
-    """Appends ``(event, tag)`` to a shared log for every event."""
-
-    def __init__(self, tag, log):
-        self.tag = tag
-        self.log = log
-
-    def on_probe(self, trace):
-        self.log.append(("probe", self.tag))
-
-    def on_span_closed(self, record):
-        self.log.append(("span", self.tag))
-
-    def close(self):
-        self.log.append(("close", self.tag))
-
-
 class TestAsEventSink:
-    def test_passes_event_sinks_through(self):
-        a, b = CollectorSink(), NullSink()
-        assert FanoutEvents(a, b).sinks == [a, b]
-
     def test_deprecated_shims_are_gone(self):
         import repro
         import repro.measure.campaign as campaign_mod
@@ -54,47 +35,89 @@ class TestAsEventSink:
             "as_sink", "FanoutSink", "CallbackSink", "as_event_sink",
             "close_sink", "ProbeSink", "SinkLike", "ProbeSinkEvents",
             "CallbackEvents", "ProgressCallbackEvents", "StatsSink",
+            "FanoutEvents", "CollectorSink", "NullSink",
         ):
             assert not hasattr(sink_mod, name)
+            assert not hasattr(repro, name)
+        # Nothing in the program closes a sink, so a sink has no close().
+        assert not hasattr(EventSink, "close")
         for name in ("CampaignProgress", "ProgressCallback"):
             assert not hasattr(metrics_mod, name)
         assert not hasattr(campaign_mod, "TraceConsumer")
         assert not hasattr(repro, "as_event_sink")
 
-    def test_observatory_is_a_probe_sink(self, monkeypatch):
-        # on_probe must go through the ``ingest`` attribute, so wrapping
-        # ``BorderObservatory.ingest`` sees every campaign probe.
-        seen = []
-        monkeypatch.setattr(
-            BorderObservatory, "ingest", lambda self, trace: seen.append(trace)
+
+class _CountingObserver(EventSink):
+    """Counts delivered probes and collects the labels of merged shards."""
+
+    def __init__(self):
+        self.probes = 0
+        self.labels = set()
+
+    def on_probe(self, trace):
+        self.probes += 1
+
+    def on_shard_merged(self, record, timing):
+        self.labels.add(record.label)
+
+
+@pytest.fixture(scope="module")
+def world():
+    return build_world(WorldConfig(scale=0.005, seed=13))
+
+
+class TestRunObserver:
+    """Every campaign of a run -- round 1, round 2, recovery and the four
+    VPI clouds -- feeds ``BorderObservatory.ingest`` and reports each
+    delivered probe to the run's one observer."""
+
+    CONFIG = StudyConfig(seed=1, expansion_stride=8, run_crossval=False)
+
+    def _run(self, world, config, monkeypatch):
+        # Counted at class level: studybench times the observatory by
+        # wrapping ``BorderObservatory.ingest`` by name, so every campaign
+        # must reach it through that attribute.
+        ingested = []
+        ingest = BorderObservatory.ingest
+
+        def counting_ingest(self, trace):
+            ingested.append(1)
+            return ingest(self, trace)
+
+        monkeypatch.setattr(BorderObservatory, "ingest", counting_ingest)
+        observer = _CountingObserver()
+        result = AmazonPeeringStudy(world, config, events=observer).run()
+        delivered = sum(s.probes for s in result.metrics.campaigns.values())
+        return result, observer, len(ingested), delivered
+
+    def test_clean_run_reports_every_probe(self, world, monkeypatch):
+        result, observer, ingested, delivered = self._run(
+            world, self.CONFIG, monkeypatch
         )
-        observatory = BorderObservatory(annotator=None)
-        assert isinstance(observatory, EventSink)
-        trace = _trace()
-        observatory.on_probe(trace)
-        assert seen == [trace]
+        assert result.digest().startswith("481ee457")
+        assert observer.probes == ingested == delivered == 29_192
+        assert observer.labels == set(result.metrics.campaigns) == {
+            "round1", "round2",
+            "vpi:microsoft", "vpi:google", "vpi:ibm", "vpi:oracle",
+        }
 
-
-class TestFanout:
-    def test_fanout_delivers_in_order(self):
-        order = []
-        fan = FanoutEvents(_Tagged("a", order), _Tagged("b", order))
-        fan.on_probe(_trace())
-        fan.on_probe(_trace())
-        assert order == [("probe", "a"), ("probe", "b")] * 2
-
-    def test_fanout_close_propagates(self):
-        order = []
-        fan = FanoutEvents(_Tagged("a", order), CollectorSink())
-        fan.close()
-        assert order == [("close", "a")]
-
-    def test_fanout_drops_none_entries(self):
-        fan = FanoutEvents(None, CollectorSink(), None)
-        assert len(fan.sinks) == 1
-
-    def test_fanout_is_an_event_sink(self):
-        assert isinstance(FanoutEvents(), EventSink)
+    def test_recovery_reprobes_reach_ingest_and_the_observer(
+        self, world, monkeypatch
+    ):
+        config = self.CONFIG.replace(
+            adaptive=True,
+            breaker_threshold=2,
+            recovery_rounds=2,
+            fault_plan=FaultPlan.parse("rate-limit=0.3w3,seed=7"),
+        )
+        result, observer, ingested, delivered = self._run(
+            world, config, monkeypatch
+        )
+        assert result.digest().startswith("c8ffc3ba")
+        assert result.resilience.recovered > 0
+        assert observer.probes == ingested == delivered == 29_452
+        assert observer.labels == set(result.metrics.campaigns)
+        assert len(observer.labels) == 6
 
 
 class TestStudyConfig:
@@ -175,21 +198,6 @@ class TestEventSink:
         sink.on_probe(_trace())
         sink.on_shard_merged(CampaignStats(label="x"), _TIMING)
         sink.on_span_closed(_span_record())
-        sink.close()
-
-    def test_fanout_events_drops_none_and_fans_out(self):
-        order = []
-        fan = FanoutEvents(_Tagged("a", order), None, _Tagged("b", order))
-        assert len(fan.sinks) == 2
-        fan.on_probe(_trace())
-        fan.on_span_closed(_span_record())
-        fan.on_shard_merged(CampaignStats(label="x"), _TIMING)
-        fan.close()
-        assert order == [
-            ("probe", "a"), ("probe", "b"),
-            ("span", "a"), ("span", "b"),
-            ("close", "a"), ("close", "b"),
-        ]
 
 
 class TestProgressPrinter:
@@ -259,6 +267,25 @@ class TestProgressPrinter:
         err = capsys.readouterr().err
         assert "round1: 40/100 probes (40%), 80/s" in err
         assert "round1: 60/100 probes (60%), 30/s" in err
+
+    def test_wall_clock_stepping_back_does_not_silence_progress(
+        self, capsys, monkeypatch
+    ):
+        # NTP or a VM resume can step the wall clock back an hour; the
+        # throttle must not swallow every line until it catches up.
+        import time
+
+        clock = {"wall": 1_000_000.0, "mono": 500.0}
+        monkeypatch.setattr(time, "time", lambda: clock["wall"])
+        monkeypatch.setattr(time, "monotonic", lambda: clock["mono"])
+        printer = self._printer(min_interval=0.5)
+        printer.on_shard_merged(self._record(10), _TIMING)
+        clock["wall"] += 0.6 - 3600.0
+        clock["mono"] += 0.6
+        printer.on_shard_merged(self._record(20), _TIMING)
+        err = capsys.readouterr().err
+        assert "round1: 10/100" in err
+        assert "round1: 20/100" in err
 
     def test_non_campaign_spans_are_ignored(self, capsys):
         printer = self._printer(min_interval=0.0)
