@@ -188,15 +188,24 @@ class _ProgressPrinter(EventSink):
     elapsed time, so the last update can never be swallowed by the
     throttle -- or skipped when the final shard is quarantined and never
     merges.
+
+    The adaptive recovery stage heals campaign records after their
+    spans closed.  Each recovery round prints what it recovered when
+    its span closes, and when the stage closes, every record it healed
+    -- the live one its merged shards carried -- prints a corrected
+    line.
     """
 
     def __init__(self, min_interval: float = 0.5) -> None:
         self._min_interval = min_interval
         self._last_time = -math.inf
+        #: each campaign's record by label, as its merged shards carry it.
+        self._records: Dict[str, CampaignStats] = {}
 
     def on_shard_merged(
         self, record: CampaignStats, timing: ShardTiming
     ) -> None:
+        self._records[record.label] = record
         merged = record.probes + record.lost_probes
         if merged >= record.expected_probes:
             return  # the campaign span's closing line reports the end
@@ -214,8 +223,31 @@ class _ProgressPrinter(EventSink):
         )
 
     def on_span_closed(self, record: SpanRecord) -> None:
-        if record.category != "campaign":
-            return
+        if record.category == "recovery":
+            print(
+                f"  recovery round {record.name.partition(':')[2]}: "
+                f"{int(record.counter('recovered'))} recovered, "
+                f"{int(record.counter('pending_after'))} pending",
+                file=sys.stderr,
+            )
+        elif record.category == "stage" and record.name == "recovery":
+            for stats in self._records.values():
+                if stats.recovered_probes > 0:
+                    self._print_recovered(stats)
+        elif record.category == "campaign":
+            self._print_campaign(record)
+
+    def _print_recovered(self, stats: CampaignStats) -> None:
+        text = (
+            f"  {stats.label}: {stats.probes}/{stats.expected_probes} probes "
+            f"({_percent(stats.probes, stats.expected_probes)}) after "
+            f"recovery, {stats.recovered_probes} recovered"
+        )
+        if stats.lost_probes:
+            text += f", {stats.lost_probes} probe(s) lost"
+        print(text, file=sys.stderr)
+
+    def _print_campaign(self, record: SpanRecord) -> None:
         label = record.name.partition(":")[2] or record.name
         probes = int(record.counter("probes"))
         expected = int(record.counter("expected"))

@@ -105,6 +105,9 @@ class _RunContext:
         self.governor = governor
         #: set by the validate stage; consumed by the quality stage.
         self.validation: Optional[DatasetValidationReport] = None
+        #: CBIs of the round-1 traces the governor deferred; round 2
+        #: expands around them too.
+        self.deferred_cbis: Set[IPv4] = set()
 
     def probe_state(self) -> Dict[str, Any]:
         """The probing stages' share of the payload: observatory and governor."""
@@ -369,14 +372,17 @@ class AmazonPeeringStudy:
         """Project one stage payload -- fresh or loaded -- onto the run.
 
         Each key names either the run's own state (``validation``,
-        ``observatory``, ``governor``) or the :class:`StudyResult` field
-        the value fills.  Fresh and loaded payloads take this one path,
-        which is the whole resume contract: a fresh payload's state *is*
-        the run's live state, so restoring it changes nothing.
+        ``deferred_cbis``, ``observatory``, ``governor``) or the
+        :class:`StudyResult` field the value fills.  Fresh and loaded
+        payloads take this one path, which is the whole resume contract:
+        a fresh payload's state *is* the run's live state, so restoring
+        it changes nothing.
         """
         for key, value in payload.items():
             if key == "validation":
                 ctx.validation = value
+            elif key == "deferred_cbis":
+                ctx.deferred_cbis = value
             elif key == "observatory":
                 observatory = ctx.observatory
                 observatory.load_state(value)
@@ -466,18 +472,23 @@ class AmazonPeeringStudy:
         }
 
     def _compute_round1(self, ctx: _RunContext) -> Dict[str, Any]:
-        # §3-§4.1: round-1 sweep.
+        # §3-§4.1: round-1 sweep.  A trace the governor defers never
+        # feeds inference, but its CBI still seeds round 2 (DESIGN.md
+        # §6.6): a planning observatory collects those CBIs, so round 2
+        # expands around every CBI of round 1, as a non-adaptive run does.
+        planner = BorderObservatory(self.annotator_r1)
         stats = ctx.executor.run(
             "amazon",
             "round1",
             round1_targets(self.world),
             ctx.observatory.ingest,
             governor=ctx.governor,
+            deferred=planner.ingest,
         )
         ctx.metrics.campaigns[stats.label] = stats
         r1_abis = ctx.observatory.candidate_abis()
         r1_cbis = ctx.observatory.candidate_cbis()
-        return {
+        payload: Dict[str, Any] = {
             "round1_stats": stats,
             "table1": [
                 self._census("ABI", r1_abis, self.annotator_r1),
@@ -488,10 +499,16 @@ class AmazonPeeringStudy:
             ),
             **ctx.probe_state(),
         }
+        # Only a run that deferred something carries the key, so every
+        # other run writes the round-1 record it always wrote.
+        deferred_cbis = planner.candidate_cbis()
+        if deferred_cbis:
+            payload["deferred_cbis"] = deferred_cbis
+        return payload
 
     def _compute_round2(self, ctx: _RunContext) -> Dict[str, Any]:
         # §4.2: expansion probing under the round-2 snapshot.
-        r1_cbis = ctx.observatory.candidate_cbis()
+        r1_cbis = ctx.observatory.candidate_cbis() | ctx.deferred_cbis
         ctx.observatory.start_round("r2", self.annotator_r2)
         stats = ctx.executor.run(
             "amazon",

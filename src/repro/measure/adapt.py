@@ -265,6 +265,7 @@ def run_recovery(
         rounds_run += 1
         span = executor.tracer.span(f"recovery:{round_index}", category="recovery")
         span.set("queued", len(pending))
+        recovered_before = recovered
         next_pending: List[DeferredTarget] = []
         for key in sorted({(t.cloud, t.region) for t in pending}):
             supervisor.poll()
@@ -316,7 +317,7 @@ def run_recovery(
                         still.append(target)
                 queue = still
             next_pending.extend(queue)
-        span.set("recovered", recovered)
+        span.set("recovered", recovered - recovered_before)
         span.set("pending_after", len(next_pending))
         span.close()
         pending = next_pending

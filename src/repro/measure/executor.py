@@ -41,8 +41,8 @@ One executor serves every campaign of a study run (round 1, round 2 and
 the VPI clouds).  It holds what they share -- world, engine, workers,
 retry policy, supervisor, checkpoint store, tracer and the run's one
 observer -- and :meth:`ShardedExecutor.run` takes what differs: cloud,
-label, targets, the consumer function and the optional adaptive
-governor.  The engine's :class:`~repro.measure.faults.FaultPlan` is the
+label, targets, the consumer function, the optional adaptive
+governor and the consumer of the traces it defers.  The engine's :class:`~repro.measure.faults.FaultPlan` is the
 only fault plan: its observation side shapes trace content inside the
 engine, and its transport side (crash, slow, poison) fires in
 :func:`trace_shard`.
@@ -425,6 +425,7 @@ class ShardedExecutor:
         *,
         regions: Optional[Sequence[str]] = None,
         governor: Optional["ProbeGovernor"] = None,
+        deferred: Optional[Callable[[Traceroute], object]] = None,
     ) -> CampaignStats:
         """Trace ``regions x targets`` from ``cloud``, feeding ``ingest``.
 
@@ -437,7 +438,8 @@ class ShardedExecutor:
         ``label`` and updated in merge order.  With a checkpoint store,
         completed shards are journalled under ``label`` and replayed on
         the next run.  A ``governor`` makes adaptive admit/defer
-        decisions on the merge stream.
+        decisions on the merge stream; each trace it defers goes to
+        ``deferred(trace)`` instead of ``ingest``, in merge order.
         """
         target_list = (
             targets if isinstance(targets, (list, tuple)) else list(targets)
@@ -472,6 +474,7 @@ class ShardedExecutor:
                     stats,
                     started,
                     governor,
+                    deferred,
                 )
             else:
                 ctx = _pool_context()
@@ -503,6 +506,7 @@ class ShardedExecutor:
                         stats,
                         started,
                         governor,
+                        deferred,
                     )
                 finally:
                     pool.terminate()
@@ -686,6 +690,7 @@ class ShardedExecutor:
         stats: CampaignStats,
         started: float,
         governor: Optional["ProbeGovernor"],
+        deferred: Optional[Callable[[Traceroute], object]],
     ) -> None:
         """Consume shard results in submission order -- the serial order.
 
@@ -701,7 +706,8 @@ class ShardedExecutor:
         When a governor is attached its admit/defer decisions happen
         *here*, on the merge stream: merge order is the serial order at
         any worker count, so adaptation never makes the run depend on
-        worker scheduling.
+        worker scheduling.  A deferred trace reaches ``deferred`` only:
+        never ``ingest``, the observer or the campaign's yield.
         """
         tracer = self.tracer
         on_probe = self.events.on_probe
@@ -731,6 +737,8 @@ class ShardedExecutor:
                     stats.lost_probes += 1
                     stats.deferred_probes += 1
                     deferred_here += 1
+                    if deferred is not None:
+                        deferred(trace)
                     continue
                 stats.record(trace, left_cloud)
                 ingest(trace)

@@ -25,14 +25,18 @@ Two fault categories with very different determinism contracts:
   rate-limit window is drawn once per probe (``rate_limited_ttls``),
   the loss once per responding hop outside it (``hop_suppressed``).
 
-Every decision is derived from ``random.Random(repr(key))`` -- stable
-across processes and platforms, independent of ``PYTHONHASHSEED``, and
-with no mutable RNG state shared between shards.
+Every decision is one keyed hash: the top 53 bits of an 8-byte blake2b
+digest of ``repr(key)``, on the grid in ``[0, 1)`` that
+``random.random()`` draws from -- stable across processes and platforms,
+independent of ``PYTHONHASHSEED``, and with no mutable RNG state shared
+between shards.  A fault decision takes exactly one draw per key, and
+seeding a Mersenne Twister for a single draw costs several times the
+hash (DESIGN.md §6.3).
 """
 
 from __future__ import annotations
 
-import random
+import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -100,8 +104,18 @@ class FaultPlan:
     # ------------------------------------------------------------------
 
     def _u(self, *key: object) -> float:
-        """A uniform [0, 1) draw that is a pure function of ``key``."""
-        return random.Random(repr(("fault", self.seed) + key)).random()
+        """A uniform [0, 1) draw that is a pure function of ``key``.
+
+        The top 53 bits of an 8-byte blake2b digest of
+        ``repr(("fault", seed) + key)``, so the value lies on the 53-bit
+        grid ``random()`` draws from.  :meth:`probe_signature` names
+        this draw, so journals and stage records written under another
+        one are never replayed.
+        """
+        digest = hashlib.blake2b(
+            repr(("fault", self.seed) + key).encode(), digest_size=8
+        ).digest()
+        return (int.from_bytes(digest, "big") >> 11) * 2.0**-53
 
     # --- transport side ------------------------------------------------
 
@@ -146,12 +160,16 @@ class FaultPlan:
         Checkpoint fingerprints embed this instead of the full plan:
         transport faults never change trace content, so a checkpoint
         written under a crashy plan is safely resumable under a clean
-        one -- but not under different observation faults.
+        one -- but not under different observation faults.  The leading
+        tag names the keyed draw (:meth:`_u`): a journal or stage record
+        written under another draw never matches, so it is recomputed,
+        not replayed.
         """
         if not self.affects_probes:
             return "clean"
         return repr(
             (
+                "blake2b",
                 self.seed,
                 tuple(sorted(self.region_loss.items())),
                 self.rate_limit_rate,

@@ -5,17 +5,18 @@ Pins the tentpole contracts:
 * adaptation **off** is the default and leaves no trace on the result;
 * adaptation **on** under a clean plan is digest-identical to golden --
   the control plane is inert when nothing is sick;
-* under a rate-limit-heavy plan, breakers engage, the recovery round
-  heals, and completed-probe counts are **strictly higher** than the
-  non-adaptive run under the same plan;
+* under a rate-limit-heavy plan, breakers engage, round 2 probes as
+  many targets as the non-adaptive run, the recovery round heals, and
+  completed-probe counts are **strictly higher** than the non-adaptive
+  run under the same plan;
 * a fixed ``(seed, fault plan)`` yields **one** adaptive digest across
   worker counts {1, 2, 4};
 * quarantine losses heal through the breaker recovery path;
 * stage-checkpoint resume restores governor state and replays the
   recovery stage digest-identically;
-* a run aborted before recovery resumes from the round-2 record --
-  recovery queue included -- to the uninterrupted run's digest and
-  recovery report.
+* a run aborted before recovery resumes from the round-1 or round-2
+  record -- recovery queue and round-2 seeds included -- to the
+  uninterrupted run's digest and recovery report.
 """
 
 from __future__ import annotations
@@ -193,22 +194,47 @@ def test_breakers_engage_under_rate_limiting(adaptive_rl):
     assert adaptive_rl.round2_stats.lost_probes == 0
 
 
+def _assert_adaptive_beats_nonadaptive(nonadaptive, adaptive):
+    """Round 2 expands around every round-1 CBI, deferred traces' too,
+    so it probes exactly the non-adaptive run's targets, and recovery
+    must then leave strictly more probes completed."""
+    assert adaptive.round1_stats.deferred_probes > 0
+    assert (
+        adaptive.round2_stats.expected_probes
+        == nonadaptive.round2_stats.expected_probes
+    )
+    base_completed = (
+        nonadaptive.round1_stats.completed
+        + nonadaptive.round2_stats.completed
+    )
+    adaptive_completed = (
+        adaptive.round1_stats.completed + adaptive.round2_stats.completed
+    )
+    assert adaptive_completed > base_completed
+    # ...and probe accounting balances: same expected totals per round.
+    for attr in ("round1_stats", "round2_stats"):
+        b, a = getattr(nonadaptive, attr), getattr(adaptive, attr)
+        assert a.probes + a.lost_probes == b.probes + b.lost_probes
+
+
 def test_adaptive_completeness_strictly_beats_nonadaptive(
     nonadaptive_rl, adaptive_rl
 ):
-    base = (
-        nonadaptive_rl.round1_stats.completed
-        + nonadaptive_rl.round2_stats.completed
+    _assert_adaptive_beats_nonadaptive(nonadaptive_rl, adaptive_rl)
+
+
+def test_adaptive_completeness_strictly_beats_nonadaptive_at_plan_seed_3(
+    golden, tiny_world
+):
+    """Plan seed 3 makes round 1 defer enough targets that a round 2
+    planned from admitted traces alone would probe far fewer targets."""
+    plan = RL_PLAN.replace(seed=3)
+    _assert_adaptive_beats_nonadaptive(
+        AmazonPeeringStudy(tiny_world, _config(golden, fault_plan=plan)).run(),
+        AmazonPeeringStudy(
+            tiny_world, _adaptive_config(golden, fault_plan=plan)
+        ).run(),
     )
-    adaptive = (
-        adaptive_rl.round1_stats.completed
-        + adaptive_rl.round2_stats.completed
-    )
-    assert adaptive > base
-    # ...and probe accounting balances: same expected totals per round.
-    for attr in ("round1_stats", "round2_stats"):
-        b, a = getattr(nonadaptive_rl, attr), getattr(adaptive_rl, attr)
-        assert a.probes + a.lost_probes == b.probes + b.lost_probes
 
 
 @pytest.mark.parametrize("workers", [2, 4])
@@ -323,22 +349,16 @@ def test_adaptive_resume_replays_recovery_stage(golden, tiny_world, tmp_path):
     assert resumed.resilience.breakers == first.resilience.breakers
 
 
-def test_adaptive_run_aborted_before_recovery_resumes_identically(
-    golden, tiny_world, adaptive_rl, tmp_path
-):
-    """Recovery on resume runs from the queue the round-2 record holds.
-
-    Unlike a resume of a finished run, this one recomputes the recovery
-    stage, so every deferred target (``baseline_completed`` included)
-    is read back from disk before it is re-probed.
-    """
+def _abort_and_resume(golden, tiny_world, adaptive_rl, checkpoint_dir, stage):
+    """Abort an adaptive run after ``stage``; resume it on a fresh world
+    and check it reproduces the uninterrupted run."""
     config = _adaptive_config(
-        golden, fault_plan=RL_PLAN, checkpoint_dir=str(tmp_path / "ckpt")
+        golden, fault_plan=RL_PLAN, checkpoint_dir=str(checkpoint_dir)
     )
-    supervisor = StudySupervisor(abort_after_stage="round2")
+    supervisor = StudySupervisor(abort_after_stage=stage)
     with pytest.raises(StudyInterrupted):
         AmazonPeeringStudy(tiny_world, config, supervisor=supervisor).run()
-    assert supervisor.stages_completed[-1] == "round2"
+    assert supervisor.stages_completed[-1] == stage
 
     fresh_world = build_world(
         WorldConfig(scale=golden["world"]["scale"], seed=golden["world"]["seed"])
@@ -349,9 +369,35 @@ def test_adaptive_run_aborted_before_recovery_resumes_identically(
         for r in resumed.metrics.tracer.records
         if r.category == "stage" and r.counter("resumed")
     }
-    assert resumed_stages == {"validate", "round1", "round2"}
+    done = ("validate", "round1", "round2")
+    assert resumed_stages == set(done[: done.index(stage) + 1])
     assert resumed.digest() == adaptive_rl.digest()
     assert resumed.resilience == adaptive_rl.resilience
+
+
+def test_adaptive_run_aborted_before_recovery_resumes_identically(
+    golden, tiny_world, adaptive_rl, tmp_path
+):
+    """Recovery on resume runs from the queue the round-2 record holds.
+
+    Unlike a resume of a finished run, this one recomputes the recovery
+    stage, so every deferred target (``baseline_completed`` included)
+    is read back from disk before it is re-probed.
+    """
+    _abort_and_resume(
+        golden, tiny_world, adaptive_rl, tmp_path / "ckpt", "round2"
+    )
+
+
+def test_adaptive_run_aborted_after_round1_resumes_identically(
+    golden, tiny_world, adaptive_rl, tmp_path
+):
+    """Aborted after round 1, the resume plans round 2 from the round-1
+    record: the CBIs of the traces round 1 deferred come from it, not
+    from a re-run."""
+    _abort_and_resume(
+        golden, tiny_world, adaptive_rl, tmp_path / "ckpt", "round1"
+    )
 
 
 def test_adaptive_study_span_counters(golden, tiny_world):

@@ -1,5 +1,7 @@
 """CLI smoke tests."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -84,6 +86,34 @@ class TestMain:
         captured = capsys.readouterr()
         assert "campaign throughput:" in captured.out
         assert "round1:" in captured.err
+
+    def test_progress_reports_recovery(self, capsys):
+        """Recovery prints each round, then corrects the round lines
+        that closed with deferred probes counted as lost."""
+        code = main(
+            [
+                "study",
+                "--scale", "0.005",
+                "--seed", "7",
+                "--expansion-stride", "8",
+                "--skip-crossval",
+                "--skip-vpi",
+                "--fault-plan", "rate-limit=0.3w3,seed=7",
+                "--adaptive",
+                "--breaker-threshold", "2",
+                "--recovery-rounds", "2",
+                "--progress",
+            ]
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        assert re.search(r"^  recovery round 1: ", err, re.M)
+        for label in ("round1", "round2"):
+            assert re.search(
+                rf"^  {label}: ([0-9]+)/\1 probes \(100%\) after recovery",
+                err,
+                re.M,
+            )
 
     def test_dirty_run_with_sensitivity(self, capsys):
         code = main(

@@ -12,10 +12,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import repro
 from repro.fsutil import read_records
 from repro.measure.campaign import round1_targets
 from repro.measure.checkpoint import CampaignCheckpoint, CheckpointStore
@@ -265,6 +271,87 @@ class TestFaultPlan:
         via_describe = FaultPlan.parse(rate_part)
         assert via_describe.rate_limit_rate == plan.rate_limit_rate
         assert via_describe.rate_limit_window == plan.rate_limit_window
+
+
+def _within_4_sigma(hits, n, p):
+    """Whether ``hits`` of ``n`` Bernoulli(p) trials lie within 4 sigma."""
+    return abs(hits / n - p) <= 4 * math.sqrt(p * (1 - p) / n)
+
+
+class TestFaultDraw:
+    """The keyed draw behind every fault decision, ``FaultPlan._u``.
+
+    Every plan here has a fixed seed, so each check is deterministic:
+    the 4-sigma bounds say how far a fair draw could stray, not how
+    often a run may fail.
+    """
+
+    KEYS = (
+        ("loss", "amazon", "us-east-1", 167772161, 5),
+        ("rlimit", "amazon", "eu-west-1", 3232235777),
+        ("crash", 17),
+    )
+
+    def test_draw_is_pinned(self):
+        assert FaultPlan(seed=1)._u(*self.KEYS[0]) == 0.019138596530621443
+
+    def test_draw_does_not_depend_on_the_process(self):
+        plan = FaultPlan(seed=1)
+        want = repr([plan._u(*key) for key in self.KEYS])
+        script = (
+            "from repro.measure.faults import FaultPlan\n"
+            f"print(repr([FaultPlan(seed=1)._u(*key) for key in {self.KEYS!r}]))"
+        )
+        src = str(Path(repro.__file__).parents[1])
+        for hashseed in ("0", "12345"):
+            env = {**os.environ, "PYTHONHASHSEED": hashseed, "PYTHONPATH": src}
+            got = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout.strip()
+            assert got == want, f"PYTHONHASHSEED={hashseed}"
+
+    def test_decisions_keep_their_rates(self):
+        plan = FaultPlan(seed=7, rate_limit_rate=0.3, region_loss={"*": 0.02})
+        dsts = range(167772160, 167772160 + 20_000)
+        windows = [plan.rate_limited_ttls("amazon", "us-east-1", d) for d in dsts]
+        limited = [w for w in windows if w]
+        assert _within_4_sigma(len(limited), len(windows), 0.3)
+        for start in range(2, 10):
+            opened = sum(1 for w in limited if w.start == start)
+            assert _within_4_sigma(opened, len(limited), 1 / 8), start
+        assert {len(w) for w in limited} == {plan.rate_limit_window}
+        # One hop per destination, outside its window: only loss silences it.
+        hops = [
+            (d, 1 + d % 12, w) for d, w in zip(dsts, windows)
+            if 1 + d % 12 not in w
+        ]
+        lost = sum(
+            plan.hop_suppressed("amazon", "us-east-1", d, ttl, window=w)
+            for d, ttl, w in hops
+        )
+        assert _within_4_sigma(lost, len(hops), 0.02)
+
+    def test_crashes_keep_their_rate(self):
+        plan = FaultPlan(seed=7, crash_rate=0.25)
+        crashed = sum(1 for i in range(20_000) if plan.crash_failures(i))
+        assert _within_4_sigma(crashed, 20_000, plan.crash_rate)
+
+    def test_salt_zero_is_the_unsalted_draw(self):
+        plan = FaultPlan(seed=7, rate_limit_rate=0.3, region_loss={"*": 0.3})
+        dsts = range(167772160, 167772160 + 200)
+
+        def schedule(**salt):
+            return [
+                (
+                    plan.rate_limited_ttls("amazon", "us-east-1", d, **salt),
+                    plan.hop_suppressed("amazon", "us-east-1", d, 1, **salt),
+                )
+                for d in dsts
+            ]
+
+        assert schedule(salt=0) == schedule()
+        assert schedule(salt=1) != schedule()
 
 
 # ----------------------------------------------------------------------
@@ -560,7 +647,7 @@ class TestCheckpointResume:
         )
         assert _journal_fingerprint(
             tiny_world, probe_space, FaultPlan(seed=2, region_loss={"*": 0.1})
-        ) == "4047d9975036715c86926b676f88708a1c2e24da4eb1bb3271333646cbe6d37d"
+        ) == "03ff784695f45b016520aeb7afddc2ba10e0125e1323bf96b57231c07a7c2b06"
 
     @pytest.mark.parametrize(
         "faults, expected",
@@ -568,7 +655,7 @@ class TestCheckpointResume:
             (None, "a6306eebec89b184c0236f2c86a925a52a3aae41d8ad0441eec6283e40a36ef3"),
             (
                 FaultPlan(seed=2, region_loss={"*": 0.1}),
-                "d98d21908d08269f4d0c3b39c8c8991cee61085ac5d897d8700cd0c15f6d8c2d",
+                "e0cc349099daeba48daa2d3fa8edbd6fb3c7a1d92c3f3f7cb1a686bc157408dc",
             ),
         ],
     )

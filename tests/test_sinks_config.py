@@ -69,7 +69,8 @@ def world():
 class TestRunObserver:
     """Every campaign of a run -- round 1, round 2, recovery and the four
     VPI clouds -- feeds ``BorderObservatory.ingest`` and reports each
-    delivered probe to the run's one observer."""
+    delivered probe to the run's one observer; round 1 also hands each
+    trace the governor defers to a planning observatory's ``ingest``."""
 
     CONFIG = StudyConfig(seed=1, expansion_stride=8, run_crossval=False)
 
@@ -113,9 +114,14 @@ class TestRunObserver:
         result, observer, ingested, delivered = self._run(
             world, config, monkeypatch
         )
-        assert result.digest().startswith("c8ffc3ba")
+        assert result.digest().startswith("fbe0ead9")
         assert result.resilience.recovered > 0
-        assert observer.probes == ingested == delivered == 29_452
+        assert observer.probes == delivered == 29_322
+        # Each trace round 1 deferred reaches ``ingest`` once more, on
+        # the planning observatory whose CBIs seed round 2.
+        deferred = result.round1_stats.deferred_probes
+        assert deferred > 0
+        assert ingested == delivered + deferred
         assert observer.labels == set(result.metrics.campaigns)
         assert len(observer.labels) == 6
 
@@ -291,6 +297,35 @@ class TestProgressPrinter:
         printer = self._printer(min_interval=0.0)
         printer.on_span_closed(_span_record(name="shard:3", category="shard"))
         assert capsys.readouterr().err == ""
+
+    def test_recovery_prints_its_rounds_and_corrects_healed_rounds(
+        self, capsys
+    ):
+        # Recovery heals the live records after their campaign spans
+        # closed, which printed 40 of round 1's probes as lost.
+        printer = self._printer(min_interval=3600.0)
+        healed = CampaignStats(
+            label="round1", expected_probes=100, probes=60,
+            lost_probes=40, deferred_probes=40,
+        )
+        untouched = CampaignStats(label="round2", expected_probes=50, probes=50)
+        printer.on_shard_merged(healed, _TIMING)
+        printer.on_shard_merged(untouched, _TIMING)
+        capsys.readouterr()
+        healed.probes, healed.lost_probes, healed.recovered_probes = 98, 2, 38
+        printer.on_span_closed(
+            _span_record(
+                name="recovery:1", category="recovery",
+                queued=40, recovered=38, pending_after=2,
+            )
+        )
+        printer.on_span_closed(_span_record(name="round2", category="stage"))
+        printer.on_span_closed(_span_record(name="recovery", category="stage"))
+        assert capsys.readouterr().err.splitlines() == [
+            "  recovery round 1: 38 recovered, 2 pending",
+            "  round1: 98/100 probes (98%) after recovery, 38 recovered, "
+            "2 probe(s) lost",
+        ]
 
 
 # ----------------------------------------------------------------------
