@@ -77,25 +77,26 @@ def _render_resilience(result: StudyResult, add) -> None:
         )
     resilience = result.resilience
     if resilience is not None:
+        account = result.probe_account()
         add("  adaptive control plane:")
         add(
-            f"    deferred {resilience.deferred} probe(s) behind open "
-            f"breakers; {resilience.quarantine_lost} probe(s) lost to "
+            f"    deferred {account.deferred} probe(s) behind open "
+            f"breakers; {account.quarantined} probe(s) lost to "
             f"quarantine"
         )
         add(
             f"    recovery: {resilience.rounds_run} round(s), "
-            f"{resilience.recovered} recovered "
+            f"{account.recovered} recovered "
             f"({resilience.fallback_recovered} via salt-0 fallback), "
             f"{resilience.trial_probes} trial probe(s), "
-            f"{resilience.still_lost} still lost"
+            f"{account.still_lost} still lost"
         )
-        if resilience.recovered_by_label:
+        if account.recovered_by_label:
             add(
                 "    recovered by campaign: "
                 + ", ".join(
                     f"{label}={count}"
-                    for label, count in resilience.recovered_by_label
+                    for label, count in account.recovered_by_label
                 )
             )
         for breaker in resilience.breakers:

@@ -229,16 +229,11 @@ def _run_study(scenario: BenchScenario, params: BenchParams) -> BenchReport:
         # Pin the control plane's inertness on a clean run: any nonzero
         # value here means a breaker opened (or a probe was re-paced)
         # with nothing injected -- a false positive the baseline gates.
+        account = result.probe_account()
+        counters["governor_deferred"] = account.deferred
+        counters["recovered_probes"] = account.recovered
+        counters["recovery_still_lost"] = account.still_lost
         resilience = result.resilience
-        counters["governor_deferred"] = (
-            resilience.deferred if resilience else 0
-        )
-        counters["recovered_probes"] = (
-            resilience.recovered if resilience else 0
-        )
-        counters["recovery_still_lost"] = (
-            resilience.still_lost if resilience else 0
-        )
         counters["breaker_transitions"] = (
             len(resilience.breaker_events) if resilience else 0
         )

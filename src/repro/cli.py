@@ -93,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "STAGE completes (for crash-resume testing)")
     parser.add_argument("--adaptive", action="store_true",
                         help="engage the adaptive control plane: per-region "
-                             "circuit breakers over a deterministic health "
-                             "ledger, probe deferral behind open breakers, "
+                             "circuit breakers over deterministic trace-health "
+                             "verdicts, probe deferral behind open breakers, "
                              "and a bounded re-probe recovery stage "
                              "(DESIGN.md 6.6); off = historical digest")
     parser.add_argument("--breaker-threshold", type=int, default=3,

@@ -66,8 +66,8 @@ class StudyConfig:
     resume: bool = False
 
     # --- adaptive resilience (DESIGN.md §6.6) ---------------------------
-    #: engage the health ledger + circuit breakers + probe governor and
-    #: append the bounded re-probe recovery stage.  Off by default: the
+    #: engage the probe governor and its circuit breakers and append
+    #: the bounded re-probe recovery stage.  Off by default: the
     #: non-adaptive digest is bit-identical to the historical golden.
     adaptive: bool = False
     #: consecutive rate-limit fingerprints that trip a region's breaker.

@@ -32,6 +32,7 @@ two runs of one study return one digest.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import DataError, StageError, StudyInterrupted
@@ -62,11 +63,11 @@ from repro.datasets.validate import DatasetValidationReport, validate_datasets
 from repro.datasets.whois import WhoisRegistry
 from repro.measure.adapt import ProbeGovernor, run_recovery
 from repro.measure.alias import AliasResolver
-from repro.measure.campaign import CampaignStats, expansion_targets, round1_targets
+from repro.measure.campaign import expansion_targets, round1_targets
 from repro.measure.checkpoint import CheckpointStore
 from repro.measure.dnslookup import ReverseDNS
 from repro.measure.executor import RetryPolicy, ShardedExecutor
-from repro.measure.health import HealthLedger
+from repro.measure.health import BreakerState
 from repro.measure.metrics import StudyMetrics
 from repro.measure.sink import EventSink
 from repro.measure.ping import Pinger
@@ -228,10 +229,7 @@ class AmazonPeeringStudy:
         )
         governor: Optional[ProbeGovernor] = None
         if config.adaptive:
-            governor = ProbeGovernor(
-                HealthLedger(threshold=config.breaker_threshold),
-                cloud="amazon",
-            )
+            governor = ProbeGovernor(threshold=config.breaker_threshold)
         executor = ShardedExecutor(
             self.world,
             self.engine,
@@ -299,7 +297,7 @@ class AmazonPeeringStudy:
                             # A stage computed after any shard quarantine
                             # in this run is degraded content, even once
                             # recovery healed the probes: the governor's
-                            # ledger folded the quarantine, and transport
+                            # breakers folded the quarantine, and transport
                             # faults are outside the fingerprint.  Never
                             # checkpoint it; resume re-runs it, healing
                             # the quarantined shards from the campaign
@@ -440,20 +438,27 @@ class AmazonPeeringStudy:
         )
         if ctx.governor is not None:
             # Adaptive control-plane counters (DESIGN.md §6.6): breaker
-            # transitions fold from the ledger's event log, governor
-            # decisions from its own tallies.  Digest-neutral.
-            counts = ctx.governor.ledger.counts()
-            study_span.set("breaker_opens", counts.opens)
-            study_span.set("breaker_half_opens", counts.half_opens)
-            study_span.set("breaker_closes", counts.closes)
-            study_span.set("breaker_reopens", counts.reopens)
-            study_span.set("governor_admitted", ctx.governor.admitted)
-            study_span.set("governor_deferred", ctx.governor.deferred)
-            study_span.set("governor_quarantined", ctx.governor.quarantined)
-            resilience = ctx.result.resilience
-            if resilience is not None:
-                study_span.set("recovered_probes", resilience.recovered)
-                study_span.set("recovery_still_lost", resilience.still_lost)
+            # transitions fold from the breakers' event logs, probe
+            # counts from the round records.  Digest-neutral.
+            edges = Counter(
+                (event.from_state, event.to_state)
+                for breaker in ctx.governor.breakers()
+                for event in breaker.events
+            )
+            closed, opened, half = (
+                BreakerState.CLOSED, BreakerState.OPEN, BreakerState.HALF_OPEN
+            )
+            study_span.set("breaker_opens", edges[closed, opened])
+            study_span.set("breaker_half_opens", edges[opened, half])
+            study_span.set("breaker_closes", edges[half, closed])
+            study_span.set("breaker_reopens", edges[half, opened])
+            account = ctx.result.probe_account()
+            study_span.set("governor_admitted", account.admitted)
+            study_span.set("governor_deferred", account.deferred)
+            study_span.set("governor_quarantined", account.quarantined)
+            if ctx.result.resilience is not None:
+                study_span.set("recovered_probes", account.recovered)
+                study_span.set("recovery_still_lost", account.still_lost)
         study_span.close()
 
     # ------------------------------------------------------------------
@@ -540,15 +545,11 @@ class AmazonPeeringStudy:
         # traces stream into the observatory under the current round
         # ("r2") and heal the campaign stats they were deferred from.
         assert ctx.governor is not None  # stage gated on config.adaptive
-        stats_by_label: Dict[str, CampaignStats] = {}
-        if ctx.result.round1_stats is not None:
-            stats_by_label["round1"] = ctx.result.round1_stats
-        if ctx.result.round2_stats is not None:
-            stats_by_label["round2"] = ctx.result.round2_stats
+        rounds = (ctx.result.round1_stats, ctx.result.round2_stats)
         report = run_recovery(
             ctx.governor,
             ctx.executor,
-            stats_by_label,
+            {stats.label: stats for stats in rounds if stats is not None},
             ctx.observatory.ingest,
             rounds=self.config.recovery_rounds,
         )

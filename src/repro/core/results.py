@@ -18,7 +18,7 @@ from repro.core.grouping import GroupingResult
 from repro.core.heuristics import HeuristicOutcome
 from repro.core.pinning import PinningResult
 from repro.core.vpi import VPIDetectionResult
-from repro.measure.adapt import RecoveryReport
+from repro.measure.adapt import ProbeAccount, RecoveryReport
 from repro.measure.campaign import CampaignStats
 from repro.measure.metrics import StudyMetrics
 
@@ -132,10 +132,11 @@ class StudyResult:
     #: dataset dirt, annotation confidence, and flagged inferences.
     #: Excluded from ``digest_inputs`` by design (observability only).
     data_quality: Optional[DataQualityReport] = None
-    #: what the adaptive control plane did: breaker history, deferrals,
-    #: and recovery yield (None unless ``config.adaptive``).  Excluded
-    #: from ``digest_inputs`` -- the *healed stats* are the content; the
-    #: control-plane ledger is observability.
+    #: what the adaptive control plane did that no round record holds:
+    #: recovery rounds, fallbacks, trial probes and breaker history (None
+    #: unless ``config.adaptive``).  Excluded from ``digest_inputs`` --
+    #: the *healed stats* are the content; breaker history is
+    #: observability.
     resilience: Optional[RecoveryReport] = None
 
     # ------------------------------------------------------------------
@@ -168,6 +169,17 @@ class StudyResult:
         return len(self.recovered_bgp_peers) / len(self.bgp_visible_peers)
 
     # ------------------------------------------------------------------
+
+    def probe_account(self) -> ProbeAccount:
+        """The adaptive plane's probe account, folded from the round records.
+
+        Reads ``round1_stats`` and ``round2_stats`` only -- never
+        ``metrics.campaigns``, which a resumed run fills only with what
+        it probed itself, and never the VPI campaigns, which recovery
+        does not heal.  A round stage that has not completed counts
+        nothing.
+        """
+        return ProbeAccount.fold(self.round1_stats, self.round2_stats)
 
     def digest_inputs(self) -> Dict[str, Any]:
         """The canonical, order-stable content summary behind ``digest``.

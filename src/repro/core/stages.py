@@ -249,12 +249,15 @@ def study_fingerprint(
 
     Covers everything that changes what a stage computes: the world,
     the study seed and strides, which stages run, the confidence floor,
-    and the content-bearing sides of both fault plans (observation
-    faults via ``probe_signature``; transport faults never change a
-    completed shard's traces and are excluded, exactly like campaign
-    journal fingerprints).  Execution knobs -- workers, retry policy,
-    checkpointing, tracing, cache sharing, supervision budgets -- are
-    excluded by design: a resumed study may run under different ones.
+    the settings of the optional stages that run (``crossval_folds``
+    with cross-validation, the breaker threshold and recovery rounds
+    with adaptation), and the content-bearing sides of both fault plans
+    (observation faults via ``probe_signature``; transport faults never
+    change a completed shard's traces and are excluded, exactly like
+    campaign journal fingerprints).  Execution knobs -- workers, retry
+    policy, checkpointing, tracing, cache sharing, supervision budgets
+    -- are excluded by design: a resumed study may run under different
+    ones, and so are the settings of a stage that does not run.
     """
     fault_plan = config.fault_plan
     data_plan = config.data_fault_plan
@@ -266,13 +269,13 @@ def study_fingerprint(
                 world_seed,
                 config.seed,
                 config.expansion_stride,
-                config.crossval_folds,
+                config.crossval_folds if config.run_crossval else None,
                 config.run_vpi,
                 config.run_crossval,
                 config.min_confidence,
                 config.adaptive,
-                config.breaker_threshold,
-                config.recovery_rounds,
+                config.breaker_threshold if config.adaptive else None,
+                config.recovery_rounds if config.adaptive else None,
                 fault_plan.probe_signature() if fault_plan else "clean",
                 data_plan.to_spec() if data_plan else "clean",
             )

@@ -593,7 +593,7 @@ _REP004_STRICT_WHY = (
     "in the adaptive control plane: breaker and governor transitions fold "
     "from probe counts so any worker count (and any machine speed) "
     "reproduces the serial run",
-    "key the decision on outcome counts/streaks from the health ledger; "
+    "key the decision on the breakers' outcome counts/streaks; "
     "time this code from its caller",
 )
 

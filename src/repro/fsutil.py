@@ -34,7 +34,7 @@ __all__ = ["RECORD_FORMAT_VERSION", "RecordLog", "read_records", "safe_name"]
 #: row changes shape -- including the fields of a dataclass a stage
 #: payload carries -- so a file written under the old shape is discarded
 #: and recomputed, never misread.
-RECORD_FORMAT_VERSION = 5
+RECORD_FORMAT_VERSION = 6
 
 Record = Dict[str, Any]
 

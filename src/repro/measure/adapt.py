@@ -1,14 +1,21 @@
 """Adaptive probe-budget governor and bounded re-probe recovery rounds.
 
 The *acting* half of the adaptive control plane (the sensing half is
-:mod:`repro.measure.health`): the :class:`ProbeGovernor` sits on the
-executor's serial merge stream and decides, per merged trace, whether to
-admit it downstream or defer its target behind an open circuit breaker;
-quarantined shards feed the same ledger and queue their targets for
+:mod:`repro.measure.health`): the :class:`ProbeGovernor` owns one
+circuit breaker per region of its cloud and sits on the executor's
+serial merge stream, deciding per merged trace whether to admit it
+downstream or defer its target behind an open breaker; quarantined
+shards fold into the same breakers and queue their targets for
 recovery.  :func:`run_recovery` is the bounded re-probe round the
 pipeline runs as its recovery stage: it half-opens open breakers with a
 trial-probe budget and re-issues deferred/lost probes through them,
 healing completeness that a non-adaptive run permanently loses.
+
+The governor keeps no probe counters.  The campaign records
+(:class:`~repro.measure.campaign.CampaignStats`) are the plane's one
+probe ledger: the executor counts each deferral and quarantine there,
+recovery heals them in place, and everything that reports the plane's
+yield reads one fold of them, :class:`ProbeAccount`.
 
 Determinism (DESIGN.md §6.6): governor decisions happen at **merge
 time** -- the executor's merge order is the serial order at any worker
@@ -27,16 +34,10 @@ lost otherwise, exactly as today.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.measure.campaign import CampaignStats
-from repro.measure.health import (
-    BreakerEvent,
-    BreakerState,
-    CircuitBreaker,
-    HealthLedger,
-    classify,
-)
+from repro.measure.health import BreakerEvent, BreakerState, CircuitBreaker, healthy
 from repro.measure.traceroute import Traceroute
 
 if TYPE_CHECKING:
@@ -55,15 +56,17 @@ CAUSE_QUARANTINE = "quarantine"
 
 @dataclass(frozen=True)
 class DeferredTarget:
-    """One probe the governor re-paced instead of burning."""
+    """One probe the governor re-paced instead of burning.
+
+    Its cloud is always the governor's.
+    """
 
     label: str
-    cloud: str
     region: str
     dst: int
     cause: str
     #: whether the salt-0 trace the merge saw completed.  Recovery
-    #: replays that baseline only when it can use it (see ``deliver``);
+    #: replays that baseline only when it can use it (``run_recovery``);
     #: always ``False`` for a quarantined target, whose trace was never
     #: observed and which never consults it.
     baseline_completed: bool
@@ -71,19 +74,18 @@ class DeferredTarget:
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    """What the recovery round did (stage payload + resilience report)."""
+    """What the recovery stage did that no campaign record holds.
+
+    How many probes it healed, and how many stay lost, live in the
+    round records it healed; this keeps only the rest.
+    """
 
     rounds_run: int
-    deferred: int
-    quarantine_lost: int
-    recovered: int
     #: breaker-deferred targets accepted at salt 0 after the rounds were
     #: exhausted (re-paced back to their non-adaptive content).
     fallback_recovered: int
-    still_lost: int
     trial_probes: int
-    recovered_by_label: Tuple[Tuple[str, int], ...]
-    #: copies of the ledger's breakers once recovery finished.
+    #: copies of the governor's breakers once recovery finished.
     breakers: Tuple[CircuitBreaker, ...]
 
     @property
@@ -91,8 +93,54 @@ class RecoveryReport:
         return tuple(e for breaker in self.breakers for e in breaker.events)
 
 
+@dataclass(frozen=True)
+class ProbeAccount:
+    """Where the adaptive plane's probes went, folded from round records.
+
+    The round records are the plane's only probe ledger: the merge
+    counts each admission, deferral and quarantine there, and recovery
+    heals them in place.  The report's adaptive block, the study span's
+    ``governor_*`` and recovery counters and the ``adaptive`` bench
+    counters all read this one fold.
+    """
+
+    #: probes the governor admitted at merge time.
+    admitted: int
+    #: probes deferred behind an open breaker.
+    deferred: int
+    #: probes lost to a quarantined shard.
+    quarantined: int
+    #: deferred or quarantined probes that recovery delivered.
+    recovered: int
+    #: probes still missing after recovery.
+    still_lost: int
+    #: ``(campaign label, recovered probes)`` for each healed campaign.
+    recovered_by_label: Tuple[Tuple[str, int], ...]
+
+    @classmethod
+    def fold(cls, *records: Optional[CampaignStats]) -> "ProbeAccount":
+        """Sum ``records``, skipping the ``None`` of a campaign not run."""
+        rounds = [stats for stats in records if stats is not None]
+        return cls(
+            admitted=sum(s.probes - s.recovered_probes for s in rounds),
+            deferred=sum(s.deferred_probes for s in rounds),
+            quarantined=sum(
+                probes for s in rounds for _, probes, _ in s.quarantined.values()
+            ),
+            recovered=sum(s.recovered_probes for s in rounds),
+            still_lost=sum(s.lost_probes for s in rounds),
+            recovered_by_label=tuple(
+                sorted(
+                    (s.label, s.recovered_probes)
+                    for s in rounds
+                    if s.recovered_probes
+                )
+            ),
+        )
+
+
 class ProbeGovernor:
-    """Merge-time admit/defer decisions over the health ledger.
+    """Merge-time admit/defer decisions over per-region circuit breakers.
 
     One governor spans every campaign of a study run, so breaker state
     carries from round 1 into round 2.  All mutation happens in the
@@ -100,16 +148,26 @@ class ProbeGovernor:
     replay), which is what keeps adaptation worker-count invariant.
     """
 
-    def __init__(self, ledger: HealthLedger, cloud: str = "amazon") -> None:
-        self.ledger = ledger
+    def __init__(self, threshold: int = 3, cloud: str = "amazon") -> None:
+        self.threshold = threshold
         self.cloud = cloud
         self._label = "campaign"
+        self._breakers: Dict[str, CircuitBreaker] = {}
         self._pending: List[DeferredTarget] = []
-        self.admitted = 0
-        self.deferred = 0
-        self.quarantined = 0
 
     # ------------------------------------------------------------------
+
+    def breaker(self, region: str) -> CircuitBreaker:
+        """The live breaker of ``region``, built closed on first use."""
+        breaker = self._breakers.get(region)
+        if breaker is None:
+            breaker = CircuitBreaker(self.cloud, region, self.threshold)
+            self._breakers[region] = breaker
+        return breaker
+
+    def breakers(self) -> Tuple[CircuitBreaker, ...]:
+        """Copies of every breaker, in region order."""
+        return tuple(self._breakers[r].copy() for r in sorted(self._breakers))
 
     def begin_campaign(self, label: str) -> None:
         """Tag subsequent deferrals with the campaign they came from."""
@@ -117,39 +175,34 @@ class ProbeGovernor:
 
     def admit(self, trace: Traceroute) -> bool:
         """Admit (and fold) or defer one merged trace, in merge order."""
-        breaker = self.ledger.breaker(trace.cloud, trace.region)
+        breaker = self.breaker(trace.region)
         if breaker.state == BreakerState.OPEN:
             self._pending.append(
                 DeferredTarget(
                     label=self._label,
-                    cloud=trace.cloud,
                     region=trace.region,
                     dst=trace.dst,
                     cause=CAUSE_BREAKER,
                     baseline_completed=trace.completed,
                 )
             )
-            self.deferred += 1
             return False
-        breaker.record(classify(trace))
-        self.admitted += 1
+        breaker.record(healthy(trace))
         return True
 
     def note_quarantine(self, region: str, targets: Tuple[int, ...]) -> None:
         """A shard quarantined: fold the loss, queue targets for recovery."""
-        self.ledger.note_quarantine(self.cloud, region, len(targets))
-        for dst in targets:
-            self._pending.append(
-                DeferredTarget(
-                    label=self._label,
-                    cloud=self.cloud,
-                    region=region,
-                    dst=dst,
-                    cause=CAUSE_QUARANTINE,
-                    baseline_completed=False,
-                )
+        self.breaker(region).record_quarantine(len(targets))
+        self._pending.extend(
+            DeferredTarget(
+                label=self._label,
+                region=region,
+                dst=dst,
+                cause=CAUSE_QUARANTINE,
+                baseline_completed=False,
             )
-        self.quarantined += len(targets)
+            for dst in targets
+        )
 
     # ------------------------------------------------------------------
 
@@ -167,29 +220,16 @@ class ProbeGovernor:
     # ------------------------------------------------------------------
 
     def state_dict(self) -> Dict[str, Any]:
-        return {
-            "breakers": self.ledger.snapshot(),
-            "pending": tuple(self._pending),
-            "admitted": self.admitted,
-            "deferred": self.deferred,
-            "quarantined": self.quarantined,
-        }
+        return {"breakers": self.breakers(), "pending": tuple(self._pending)}
 
     def load_state(self, state: Mapping[str, Any]) -> None:
-        self.ledger.restore(state["breakers"])
+        self._breakers = {b.region: b.copy() for b in state["breakers"]}
         self._pending = list(state["pending"])
-        self.admitted = int(state["admitted"])
-        self.deferred = int(state["deferred"])
-        self.quarantined = int(state["quarantined"])
 
 
 # ----------------------------------------------------------------------
 # the bounded re-probe recovery round
 # ----------------------------------------------------------------------
-
-
-def _salt_for(target: DeferredTarget, round_index: int) -> int:
-    return 0 if target.cause == CAUSE_QUARANTINE else round_index
 
 
 def run_recovery(
@@ -203,31 +243,29 @@ def run_recovery(
     """Re-issue deferred/lost probes through half-open breakers.
 
     Serial and deterministic: rounds run in order, regions in sorted
-    order, targets in deferral order.  Each round half-opens every open
-    breaker it visits (spending one unit of the study-wide retry budget
-    per breaker, when a budget is configured) and re-probes through it;
-    the supervisor is polled between regions so ``--deadline`` and
-    cancellation are honoured at safe points.  Engine, supervisor,
+    order, targets in deferral order.  Each round gives every open
+    breaker it visits one half-open phase (spending one unit of the
+    study-wide retry budget per breaker, when a budget is configured):
+    the first ``trial_budget`` queued targets are its trials, and a
+    breaker they close re-probes the rest of its queue in the same
+    round.  The supervisor is polled between regions so ``--deadline``
+    and cancellation are honoured at safe points.  Engine, supervisor,
     tracer, observer and the governor's cloud membership are the
     ``executor``'s, the ones the campaigns ran with.  Each recovered
     trace goes to ``ingest`` (the observatory), then to the observer's
     ``on_probe``, and heals its campaign's stats.
     """
     engine = executor.engine
-    membership = executor.membership(governor.cloud)
+    cloud = governor.cloud
+    membership = executor.membership(cloud)
     on_probe = executor.events.on_probe
     supervisor = executor.supervisor
     pending = governor.take_pending()
-    deferred_total = sum(1 for t in pending if t.cause == CAUSE_BREAKER)
-    quarantine_total = len(pending) - deferred_total
-    recovered = 0
     fallback = 0
     trial_probes = 0
     rounds_run = 0
-    by_label: Dict[str, int] = {}
 
     def accept(target: DeferredTarget, trace: Traceroute) -> None:
-        nonlocal recovered
         stats = stats_by_label.get(target.label)
         if stats is not None:
             stats.record(trace, membership.left_cloud(trace))
@@ -235,28 +273,36 @@ def run_recovery(
             stats.recovered_probes += 1
         ingest(trace)
         on_probe(trace)
-        by_label[target.label] = by_label.get(target.label, 0) + 1
-        recovered += 1
 
-    def deliver(target: DeferredTarget, trace: Traceroute) -> Traceroute:
-        """Clamp a re-probe to no worse than its salt-0 baseline.
+    def reprobe(
+        batch: List[DeferredTarget], round_index: int
+    ) -> Tuple[List[bool], List[DeferredTarget]]:
+        """Re-probe ``batch`` in order; return each verdict and what stays.
 
-        A salted re-probe can be fingerprint-free yet lose the
-        destination (the window landed on the tail), while the salt-0
-        trace -- what the non-adaptive run records -- completed.
-        Re-pacing must never cost coverage, so an incomplete salted
-        trace yields to a completed baseline.  The merge already saw
-        that baseline when the governor deferred it, so it is replayed
-        only when ``target.baseline_completed`` says it will be used.
-        Deterministic: the baseline is a pure replay.
+        A healthy re-probe is accepted.  A quarantine-lost target is
+        accepted regardless -- its salt-0 trace is the clean-run content
+        -- though its verdict is still honest region-health evidence.
         """
-        if (
-            target.cause == CAUSE_BREAKER
-            and target.baseline_completed
-            and not trace.completed
-        ):
-            return engine.trace(target.cloud, target.region, target.dst, salt=0)
-        return trace
+        verdicts: List[bool] = []
+        still: List[DeferredTarget] = []
+        for target in batch:
+            deferred = target.cause == CAUSE_BREAKER
+            salt = round_index if deferred else 0
+            trace = engine.trace(cloud, target.region, target.dst, salt=salt)
+            verdicts.append(healthy(trace))
+            if deferred and not verdicts[-1]:
+                still.append(target)
+                continue
+            if deferred and target.baseline_completed and not trace.completed:
+                # Re-pacing must never cost coverage: a fingerprint-free
+                # re-probe can still lose the destination (the window
+                # landed on the tail), so it yields to the completed
+                # salt-0 trace the non-adaptive run records.  The merge
+                # saw that baseline when the governor deferred it; it is
+                # replayed only when ``baseline_completed`` says so.
+                trace = engine.trace(cloud, target.region, target.dst, salt=0)
+            accept(target, trace)
+        return verdicts, still
 
     for round_index in range(1, max(0, rounds) + 1):
         if not pending:
@@ -265,59 +311,27 @@ def run_recovery(
         rounds_run += 1
         span = executor.tracer.span(f"recovery:{round_index}", category="recovery")
         span.set("queued", len(pending))
-        recovered_before = recovered
         next_pending: List[DeferredTarget] = []
-        for key in sorted({(t.cloud, t.region) for t in pending}):
+        for region in sorted({t.region for t in pending}):
             supervisor.poll()
-            cloud, region = key
-            queue = [t for t in pending if (t.cloud, t.region) == key]
-            breaker = governor.ledger.breaker(cloud, region)
+            queue = [t for t in pending if t.region == region]
+            breaker = governor.breaker(region)
             if breaker.state == BreakerState.OPEN:
                 if not supervisor.consume_retry():
                     # Retry budget spent: leave this region for a later
                     # round (or the salt-0 fallback) instead of probing.
                     next_pending.extend(queue)
                     continue
-                breaker.half_open(trial_budget)
-            if breaker.state == BreakerState.HALF_OPEN:
-                still: List[DeferredTarget] = []
-                for target in queue:
-                    if breaker.trials_remaining <= 0:
-                        still.append(target)
-                        continue
-                    trace = engine.trace(
-                        cloud, region, target.dst,
-                        salt=_salt_for(target, round_index),
-                    )
-                    trial_probes += 1
-                    # The trial verdict is honest region-health evidence;
-                    # a quarantine-lost target is *delivered* regardless
-                    # (its salt-0 trace is the clean-run content).
-                    verdict = classify(trace).healthy
-                    breaker.record_trial(verdict)
-                    if verdict or target.cause == CAUSE_QUARANTINE:
-                        accept(target, deliver(target, trace))
-                    else:
-                        still.append(target)
-                breaker.resolve_trials()
-                queue = still
+                verdicts, still = reprobe(queue[:trial_budget], round_index)
+                trial_probes += len(verdicts)
+                breaker.trial(trial_budget, verdicts)
+                # A failed trial re-opens the breaker and stays queued;
+                # with every trial healthy, ``still`` is empty.
+                queue = still + queue[trial_budget:]
             if breaker.state == BreakerState.CLOSED:
-                still = []
-                for target in queue:
-                    trace = engine.trace(
-                        cloud, region, target.dst,
-                        salt=_salt_for(target, round_index),
-                    )
-                    if (
-                        classify(trace).healthy
-                        or target.cause == CAUSE_QUARANTINE
-                    ):
-                        accept(target, deliver(target, trace))
-                    else:
-                        still.append(target)
-                queue = still
+                _, queue = reprobe(queue, round_index)
             next_pending.extend(queue)
-        span.set("recovered", recovered - recovered_before)
+        span.set("recovered", len(pending) - len(next_pending))
         span.set("pending_after", len(next_pending))
         span.close()
         pending = next_pending
@@ -326,23 +340,14 @@ def run_recovery(
     # lost: accept their salt-0 trace, which is byte-identical to what
     # the non-adaptive run would have recorded for them.  Quarantined
     # targets behind a breaker that never closed stay lost.
-    still_lost = 0
     for target in pending:
         if target.cause == CAUSE_BREAKER:
-            trace = engine.trace(target.cloud, target.region, target.dst, salt=0)
-            accept(target, trace)
+            accept(target, engine.trace(cloud, target.region, target.dst, salt=0))
             fallback += 1
-        else:
-            still_lost += 1
 
     return RecoveryReport(
         rounds_run=rounds_run,
-        deferred=deferred_total,
-        quarantine_lost=quarantine_total,
-        recovered=recovered,
         fallback_recovered=fallback,
-        still_lost=still_lost,
         trial_probes=trial_probes,
-        recovered_by_label=tuple(sorted(by_label.items())),
-        breakers=governor.ledger.snapshot(),
+        breakers=governor.breakers(),
     )

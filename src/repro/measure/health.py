@@ -1,23 +1,23 @@
-"""Deterministic probe-health ledger and per-region circuit breakers.
+"""Per-region circuit breakers and the trace-health predicate.
 
 Yeganeh et al. ran their campaigns against a fabric that silently drops
 and rate-limits ICMP at Amazon's border (§3); "Misleading Stars" shows
 that exactly these blind spots bias inferred topologies.  This module is
-the *sensing* half of the adaptive control plane: it folds every merged
-probe outcome into a per-``(cloud, region)`` health ledger and drives a
-circuit-breaker state machine (closed -> open -> half-open) from it.
-The *acting* half -- deferral and recovery -- lives in
-:mod:`repro.measure.adapt`.
+the *sensing* half of the adaptive control plane: :func:`healthy` judges
+one merged trace, and a :class:`CircuitBreaker` per ``(cloud, region)``
+folds those verdicts into a closed -> open -> half-open state machine.
+The *acting* half -- the governor that owns the breakers, deferral and
+recovery -- lives in :mod:`repro.measure.adapt`.
 
 The determinism contract (enforced by ``repro audit``'s REP004 strict
 scope, which bans every clock read in this module and
 :mod:`repro.measure.adapt`, and by the adaptive digest tests):
 
-* every ledger fold and breaker transition is keyed on probe **counts**
-  and trace **content**, never wall-clock -- there is deliberately no
-  ``time`` import in this module;
-* outcomes are folded at merge time, in the executor's serial merge
-  order, so any worker count reproduces the serial run's ledger (and
+* every breaker transition is keyed on probe **counts** and trace
+  **content**, never wall-clock -- there is deliberately no ``time``
+  import in this module;
+* verdicts are folded at merge time, in the executor's serial merge
+  order, so any worker count reproduces the serial run's breakers (and
   therefore every deferral decision) bit-for-bit;
 * breakers for different regions are independent, so interleaving the
   merge streams of two regions in any order that preserves each
@@ -38,15 +38,15 @@ Fold rules (DESIGN.md §6.6):
   streak reaching the breaker threshold opens the breaker;
 * a quarantined shard folds as one failure per lost probe, so a
   quarantine in a closed region opens its breaker immediately;
-* an open breaker admits nothing until a recovery round half-opens it
-  with a bounded trial-probe budget; all-healthy trials close it, any
-  failed trial re-opens it.
+* an open breaker admits nothing until a recovery round runs one
+  half-open phase through it (:meth:`CircuitBreaker.trial`): all-healthy
+  trials close it, any failed trial re-opens it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Tuple
+from typing import List, Sequence
 
 from repro.measure.traceroute import Traceroute
 
@@ -64,55 +64,24 @@ class BreakerState:
     HALF_OPEN = "half-open"
 
 
-@dataclass(frozen=True)
-class ProbeOutcome:
-    """Classification of one merged traceroute, as the ledger sees it."""
+def healthy(trace: Traceroute) -> bool:
+    """No loss/rate-limit fingerprint in ``trace``.
 
-    region: str
-    completed: bool
-    #: longest run of unresponsive TTLs that resumed afterwards.
-    silenced_run: int
-
-    @property
-    def rate_limited(self) -> bool:
-        return self.silenced_run >= SILENCED_RUN_FINGERPRINT
-
-    @property
-    def healthy(self) -> bool:
-        """No loss/rate-limit fingerprint.
-
-        Deliberately ignores ``completed``: a silent destination is
-        routine background noise, not region sickness, and folding it
-        as a failure would open breakers on perfectly healthy regions.
-        """
-        return not self.rate_limited
-
-
-def classify(trace: Traceroute) -> ProbeOutcome:
-    """Fold one trace into a :class:`ProbeOutcome`.
-
-    The silenced run counts only *interior* silence -- unresponsive TTLs
-    strictly before the last responsive hop -- so a gap-limited tail
-    never masquerades as a rate-limit window.
+    Only *interior* silence counts -- a run of unresponsive TTLs that a
+    responsive hop resumes -- so a gap-limited tail never masquerades as
+    a rate-limit window.  Deliberately ignores ``completed``: a silent
+    destination is routine background noise, not region sickness, and
+    folding it as a failure would open breakers on healthy regions.
     """
-    last_responsive = -1
-    for i, hop in enumerate(trace.hops):
-        if hop.ip is not None:
-            last_responsive = i
     run = 0
-    best = 0
-    for i in range(max(0, last_responsive)):
-        if trace.hops[i].ip is None:
+    for hop in trace.hops:
+        if hop.ip is None:
             run += 1
-            if run > best:
-                best = run
+        elif run >= SILENCED_RUN_FINGERPRINT:
+            return False
         else:
             run = 0
-    return ProbeOutcome(
-        region=trace.region,
-        completed=trace.completed,
-        silenced_run=best,
-    )
+    return True
 
 
 @dataclass(frozen=True)
@@ -130,11 +99,12 @@ class BreakerEvent:
 
 @dataclass
 class CircuitBreaker:
-    """One region's breaker: a pure fold over counted probe outcomes.
+    """One region's breaker: a pure fold over counted probe verdicts.
 
     A plain dataclass, so the breaker itself is its saved state: the
-    stage codec encodes it as-is, and :meth:`HealthLedger.snapshot`
-    hands out copies.
+    stage codec encodes it as-is, and the governor hands out copies.
+    Between calls it is either closed or open; half-open exists only
+    inside :meth:`trial`, and in the events that phase records.
     """
 
     cloud: str
@@ -145,12 +115,6 @@ class CircuitBreaker:
     outcomes: int = 0
     failures: int = 0
     rate_limited: int = 0
-    quarantined: int = 0
-    #: outcome count at the first CLOSED -> OPEN transition; -1 = never.
-    first_open_at: int = -1
-    trial_budget: int = 0
-    trial_successes: int = 0
-    trial_failures: int = 0
     events: List[BreakerEvent] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -174,16 +138,14 @@ class CircuitBreaker:
                 reason=reason,
             )
         )
-        if to_state == BreakerState.OPEN and self.first_open_at < 0:
-            self.first_open_at = self.outcomes
         self.state = to_state
 
     # ------------------------------------------------------------------
 
-    def record(self, outcome: ProbeOutcome) -> None:
-        """Fold one admitted probe outcome (CLOSED state only).
+    def record(self, is_healthy: bool) -> None:
+        """Fold one admitted probe's verdict (CLOSED state only).
 
-        The governor never folds outcomes through an open breaker --
+        The governor never folds verdicts through an open breaker --
         deferred probes are re-paced, not counted -- so ``record`` on an
         open breaker is a programming error.
         """
@@ -192,14 +154,13 @@ class CircuitBreaker:
                 f"breaker {self.region!r} is open; defer, don't record"
             )
         self.outcomes += 1
-        if outcome.rate_limited:
-            self.rate_limited += 1
-        if outcome.healthy:
+        if is_healthy:
             self.streak = 0
             return
+        self.rate_limited += 1
         self.failures += 1
         self.streak += 1
-        if self.state == BreakerState.CLOSED and self.streak >= self.threshold:
+        if self.streak >= self.threshold:
             self._transition(
                 BreakerState.OPEN,
                 f"failure streak {self.streak} >= threshold {self.threshold}",
@@ -211,7 +172,6 @@ class CircuitBreaker:
             return
         self.outcomes += probes
         self.failures += probes
-        self.quarantined += probes
         self.streak += probes
         if self.state == BreakerState.CLOSED and self.streak >= self.threshold:
             self._transition(
@@ -219,124 +179,39 @@ class CircuitBreaker:
                 f"quarantined shard (+{probes} lost probes)",
             )
 
-    # ------------------------------------------------------------------
-    # half-open trial accounting (the recovery round drives this)
-    # ------------------------------------------------------------------
+    def trial(self, budget: int, verdicts: Sequence[bool]) -> str:
+        """One half-open phase: OPEN -> HALF_OPEN -> OPEN or CLOSED.
 
-    def half_open(self, budget: int) -> None:
-        """OPEN -> HALF_OPEN with a bounded trial-probe budget."""
+        ``budget`` trial probes were granted and ``verdicts`` are the
+        health of those that ran, in probe order.  Any failed trial
+        re-opens the breaker; otherwise it closes and its streak resets
+        -- a phase that ran no trials closes too, since nothing sick was
+        left to probe.  Returns the settled state.
+        """
         if self.state != BreakerState.OPEN:
             raise ValueError(
                 f"cannot half-open a {self.state} breaker ({self.region!r})"
             )
         if budget < 1:
             raise ValueError(f"trial budget must be >= 1, got {budget}")
-        self.trial_budget = budget
-        self.trial_successes = 0
-        self.trial_failures = 0
+        if len(verdicts) > budget:
+            raise ValueError(
+                f"{len(verdicts)} trials exceed the budget of {budget} "
+                f"({self.region!r})"
+            )
         self._transition(
             BreakerState.HALF_OPEN, f"{budget} trial probes granted"
         )
-
-    @property
-    def trials_remaining(self) -> int:
-        spent = self.trial_successes + self.trial_failures
-        return max(0, self.trial_budget - spent)
-
-    def record_trial(self, healthy: bool) -> None:
-        if self.state != BreakerState.HALF_OPEN:
-            raise ValueError(
-                f"trial on a {self.state} breaker ({self.region!r})"
-            )
-        if self.trials_remaining <= 0:
-            raise ValueError(f"trial budget exhausted ({self.region!r})")
-        self.outcomes += 1
-        if healthy:
-            self.trial_successes += 1
-        else:
-            self.trial_failures += 1
-            self.failures += 1
-
-    def resolve_trials(self) -> str:
-        """Settle a half-open breaker after its trial probes ran.
-
-        Any failed trial re-opens; otherwise at least one healthy trial
-        closes (and resets the streak).  A half-open breaker that ran no
-        trials (empty queue) closes too -- there was nothing sick left.
-        """
-        if self.state != BreakerState.HALF_OPEN:
-            return self.state
-        if self.trial_failures > 0:
+        failed = sum(1 for verdict in verdicts if not verdict)
+        self.outcomes += len(verdicts)
+        self.failures += failed
+        if failed:
             self._transition(
-                BreakerState.OPEN,
-                f"{self.trial_failures}/{self.trial_budget} trial probes failed",
+                BreakerState.OPEN, f"{failed}/{budget} trial probes failed"
             )
         else:
             self.streak = 0
             self._transition(
-                BreakerState.CLOSED,
-                f"{self.trial_successes} trial probes healthy",
+                BreakerState.CLOSED, f"{len(verdicts)} trial probes healthy"
             )
         return self.state
-
-
-@dataclass
-class LedgerCounts:
-    """Aggregate transition counters (study-span observability)."""
-
-    opens: int = 0
-    half_opens: int = 0
-    closes: int = 0
-    reopens: int = 0
-
-
-class HealthLedger:
-    """Per-``(cloud, region)`` breakers, folded in serial merge order."""
-
-    def __init__(self, threshold: int = 3) -> None:
-        if threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {threshold}")
-        self.threshold = threshold
-        self._breakers: Dict[Tuple[str, str], CircuitBreaker] = {}
-
-    def breaker(self, cloud: str, region: str) -> CircuitBreaker:
-        key = (cloud, region)
-        breaker = self._breakers.get(key)
-        if breaker is None:
-            breaker = CircuitBreaker(cloud, region, self.threshold)
-            self._breakers[key] = breaker
-        return breaker
-
-    def note_quarantine(self, cloud: str, region: str, probes: int) -> None:
-        self.breaker(cloud, region).record_quarantine(probes)
-
-    # ------------------------------------------------------------------
-
-    def breakers(self) -> List[CircuitBreaker]:
-        """Every breaker, in deterministic (cloud, region) order."""
-        return [self._breakers[key] for key in sorted(self._breakers)]
-
-    def counts(self) -> LedgerCounts:
-        counts = LedgerCounts()
-        for breaker in self.breakers():
-            for event in breaker.events:
-                if event.to_state == BreakerState.OPEN:
-                    if event.from_state == BreakerState.HALF_OPEN:
-                        counts.reopens += 1
-                    else:
-                        counts.opens += 1
-                elif event.to_state == BreakerState.HALF_OPEN:
-                    counts.half_opens += 1
-                elif event.to_state == BreakerState.CLOSED:
-                    counts.closes += 1
-        return counts
-
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Tuple[CircuitBreaker, ...]:
-        """Copies of every breaker, in (cloud, region) order."""
-        return tuple(b.copy() for b in self.breakers())
-
-    def restore(self, breakers: Iterable[CircuitBreaker]) -> None:
-        """Replace every breaker with a copy of ``breakers``."""
-        self._breakers = {(b.cloud, b.region): b.copy() for b in breakers}

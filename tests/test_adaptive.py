@@ -16,7 +16,10 @@ Pins the tentpole contracts:
   recovery stage digest-identically;
 * a run aborted before recovery resumes from the round-1 or round-2
   record -- recovery queue and round-2 seeds included -- to the
-  uninterrupted run's digest and recovery report.
+  uninterrupted run's digest and recovery report;
+* the report's adaptive block, one fold of the healed round records,
+  is pinned byte for byte -- still-lost probes and an exhausted retry
+  budget included.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from repro import (
     render_report,
 )
 from repro.measure.adapt import CAUSE_BREAKER, ProbeGovernor
-from repro.measure.health import BreakerState, HealthLedger, classify
+from repro.measure.health import BreakerState, healthy
 from repro.measure.traceroute import StopReason, TraceHop, Traceroute
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_study.json"
@@ -90,7 +93,7 @@ def adaptive_rl(golden, tiny_world):
     ).run()
 
 
-# --- classify: the failure fingerprint ---------------------------------
+# --- healthy: the failure fingerprint ----------------------------------
 
 
 def _trace(ips, completed):
@@ -102,49 +105,49 @@ def _trace(ips, completed):
     return Traceroute("amazon", "use1", 99, hops, reason)
 
 
-def test_classify_counts_only_interior_silence():
-    # 3-long silent run *resumed* by a responsive hop: fingerprinted.
-    sick = _trace([1, None, None, None, 2], completed=True)
-    assert classify(sick).silenced_run == 3
-    assert not classify(sick).healthy
+def test_health_counts_only_interior_silence():
+    # 3-long silent run *resumed* by a responsive hop: fingerprinted,
+    # wherever it starts.
+    assert not healthy(_trace([1, None, None, None, 2], completed=True))
+    assert not healthy(_trace([None, None, None, 2], completed=True))
 
     # The same silence as an unresumed tail: gap-limited, not sick.
-    tail = _trace([1, 2, None, None, None], completed=False)
-    assert classify(tail).silenced_run == 0
-    assert classify(tail).healthy
+    assert healthy(_trace([1, 2, None, None, None], completed=False))
 
-    # Short interior gaps are ordinary loss.
-    noisy = _trace([1, None, 2, None, 3], completed=True)
-    assert classify(noisy).silenced_run == 1
-    assert classify(noisy).healthy
+    # Short interior gaps are ordinary loss, even several of them.
+    assert healthy(_trace([1, None, 2, None, 3], completed=True))
+    assert healthy(_trace([1, None, None, 2, None, None, 3], completed=True))
 
 
 def test_healthy_ignores_completion():
     """A clean-but-incomplete trace must never look like region sickness."""
     silent_dst = _trace([1, 2, 3], completed=False)
-    assert classify(silent_dst).healthy
+    assert healthy(silent_dst)
 
 
 # --- governor unit behavior --------------------------------------------
 
 
 def test_governor_defers_behind_an_open_breaker():
-    governor = ProbeGovernor(HealthLedger(threshold=2))
+    governor = ProbeGovernor(threshold=2)
     governor.begin_campaign("round1")
     sick = _trace([1, None, None, None, 2], completed=True)
     assert governor.admit(sick)  # streak 1
     assert governor.admit(sick)  # streak 2 -> opens
-    breaker = governor.ledger.breaker("amazon", "use1")
+    breaker = governor.breaker("use1")
     assert breaker.state == BreakerState.OPEN
     assert not governor.admit(sick)  # deferred, not folded
-    assert governor.deferred == 1
+    assert len(governor.pending) == 1
     assert governor.pending[0].cause == CAUSE_BREAKER
     assert governor.pending[0].label == "round1"
     assert breaker.outcomes == 2  # the deferral never folded
+    assert [(b.cloud, b.region) for b in governor.breakers()] == [
+        ("amazon", "use1")
+    ]
 
 
 def test_governor_state_dict_round_trip():
-    governor = ProbeGovernor(HealthLedger(threshold=2))
+    governor = ProbeGovernor(threshold=2)
     governor.begin_campaign("round1")
     sick = _trace([1, None, None, None, 2], completed=True)
     for _ in range(3):
@@ -152,11 +155,14 @@ def test_governor_state_dict_round_trip():
     governor.note_quarantine("usw2", (7, 8, 9))
     state = governor.state_dict()
 
-    fresh = ProbeGovernor(HealthLedger(threshold=2))
+    fresh = ProbeGovernor(threshold=2)
     fresh.load_state(state)
     assert fresh.state_dict() == state
-    assert fresh.ledger.snapshot() == governor.ledger.snapshot()
+    assert fresh.breakers() == governor.breakers()
     assert fresh.pending == governor.pending
+    # The restored breakers are the fresh governor's own copies.
+    fresh.breaker("use1").record_quarantine(1)
+    assert fresh.breakers() != governor.breakers()
 
 
 # --- the end-to-end contracts ------------------------------------------
@@ -173,7 +179,7 @@ def test_adaptive_clean_run_matches_golden(golden, tiny_world):
     result = AmazonPeeringStudy(tiny_world, _adaptive_config(golden)).run()
     assert result.digest() == golden["digest"]
     assert result.resilience is not None
-    assert result.resilience.deferred == 0
+    assert result.probe_account().deferred == 0
     assert result.resilience.breaker_events == ()
 
 
@@ -184,12 +190,13 @@ def test_breakers_engage_under_rate_limiting(adaptive_rl):
         1 for e in report.breaker_events if e.to_state == BreakerState.OPEN
     )
     assert opens > 0, "the rate-limit plan never opened a breaker"
-    assert report.deferred > 0
+    account = adaptive_rl.probe_account()
+    assert account.deferred > 0
     assert report.rounds_run == 2
     assert report.trial_probes > 0
     # Re-pacing never loses probes: every deferral was recovered.
-    assert report.recovered == report.deferred
-    assert report.still_lost == 0
+    assert account.recovered == account.deferred
+    assert account.still_lost == 0
     assert adaptive_rl.round1_stats.lost_probes == 0
     assert adaptive_rl.round2_stats.lost_probes == 0
 
@@ -268,10 +275,10 @@ INCOMPLETE = "WARNING: one or more campaigns are incomplete"
 
 def test_quarantine_losses_heal_through_recovery(golden, tiny_world):
     result = AmazonPeeringStudy(tiny_world, _poisoned_config(golden)).run()
-    report = result.resilience
-    assert report is not None
-    assert report.quarantine_lost > 0
-    assert report.still_lost == 0
+    assert result.resilience is not None
+    account = result.probe_account()
+    assert account.quarantined > 0
+    assert account.still_lost == 0
     assert result.round1_stats.lost_probes == 0
     assert result.round1_stats.completeness == 1.0
     assert result.round2_stats.lost_probes == 0
@@ -345,7 +352,7 @@ def test_adaptive_resume_replays_recovery_stage(golden, tiny_world, tmp_path):
     ).run()
     assert resumed.digest() == first.digest()
     assert resumed.resilience is not None
-    assert resumed.resilience.recovered == first.resilience.recovered
+    assert resumed.probe_account() == first.probe_account()
     assert resumed.resilience.breakers == first.resilience.breakers
 
 
@@ -373,6 +380,7 @@ def _abort_and_resume(golden, tiny_world, adaptive_rl, checkpoint_dir, stage):
     assert resumed_stages == set(done[: done.index(stage) + 1])
     assert resumed.digest() == adaptive_rl.digest()
     assert resumed.resilience == adaptive_rl.resilience
+    assert resumed.probe_account() == adaptive_rl.probe_account()
 
 
 def test_adaptive_run_aborted_before_recovery_resumes_identically(
@@ -426,3 +434,168 @@ def test_report_renders_resilience_block(adaptive_rl, nonadaptive_rl):
     assert "breaker amazon/" in text
     base_text = render_report(nonadaptive_rl)
     assert "adaptive control plane:" not in base_text
+
+
+# --- the adaptive block, pinned ------------------------------------------
+
+#: The ``adaptive control plane:`` block ``adaptive_rl`` prints.
+RL_BLOCK = (
+    "  adaptive control plane:",
+    "    deferred 25204 probe(s) behind open breakers; 0 probe(s) lost to quarantine",
+    "    recovery: 2 round(s), 25204 recovered (12018 via salt-0 fallback), "
+    "200 trial probe(s), 0 still lost",
+    "    recovered by campaign: round1=12064, round2=13140",
+    "    breaker amazon/ap-northeast-1: open (8/243 failed outcomes, "
+    "6 rate-limit fingerprints; "
+    "closed -> open@227 -> half-open@227 -> open@235 -> half-open@235 -> open@243)",
+    "    breaker amazon/ap-northeast-2: open (10/290 failed outcomes, "
+    "8 rate-limit fingerprints; "
+    "closed -> open@274 -> half-open@274 -> open@282 -> half-open@282 -> open@290)",
+    "    breaker amazon/ap-south-1: closed (9/292 failed outcomes, "
+    "8 rate-limit fingerprints; "
+    "closed -> open@276 -> half-open@276 -> open@284 -> half-open@284 -> closed@292)",
+    "    breaker amazon/ap-southeast-1: closed (5/261 failed outcomes, "
+    "5 rate-limit fingerprints; closed -> open@253 -> half-open@253 -> closed@261)",
+    "    breaker amazon/ap-southeast-2: closed (7/255 failed outcomes, "
+    "7 rate-limit fingerprints; closed -> open@247 -> half-open@247 -> closed@255)",
+    "    breaker amazon/ca-central-1: closed (18/341 failed outcomes, "
+    "18 rate-limit fingerprints; closed -> open@333 -> half-open@333 -> closed@341)",
+    "    breaker amazon/eu-central-1: open (4/235 failed outcomes, "
+    "2 rate-limit fingerprints; "
+    "closed -> open@219 -> half-open@219 -> open@227 -> half-open@227 -> open@235)",
+    "    breaker amazon/eu-west-1: closed (3/228 failed outcomes, 2 rate-limit fingerprints; "
+    "closed -> open@212 -> half-open@212 -> open@220 -> half-open@220 -> closed@228)",
+    "    breaker amazon/eu-west-2: closed (7/257 failed outcomes, 7 rate-limit fingerprints; "
+    "closed -> open@249 -> half-open@249 -> closed@257)",
+    "    breaker amazon/eu-west-3: open (8/256 failed outcomes, 6 rate-limit fingerprints; "
+    "closed -> open@240 -> half-open@240 -> open@248 -> half-open@248 -> open@256)",
+    "    breaker amazon/sa-east-1: open (4/224 failed outcomes, 2 rate-limit fingerprints; "
+    "closed -> open@208 -> half-open@208 -> open@216 -> half-open@216 -> open@224)",
+    "    breaker amazon/us-east-1: closed (16/334 failed outcomes, "
+    "14 rate-limit fingerprints; "
+    "closed -> open@318 -> half-open@318 -> open@326 -> half-open@326 -> closed@334)",
+    "    breaker amazon/us-east-2: closed (3/221 failed outcomes, 3 rate-limit fingerprints; "
+    "closed -> open@213 -> half-open@213 -> closed@221)",
+    "    breaker amazon/us-west-1: open (19/317 failed outcomes, 16 rate-limit fingerprints; "
+    "closed -> open@301 -> half-open@301 -> open@309 -> half-open@309 -> open@317)",
+    "    breaker amazon/us-west-2: open (9/252 failed outcomes, 6 rate-limit fingerprints; "
+    "closed -> open@236 -> half-open@236 -> open@244 -> half-open@244 -> open@252)",
+)
+
+#: The same block for :func:`_poisoned_budget_config`'s run: shards lost
+#: to quarantine that stay lost, and breakers recovery never half-opens
+#: because the retry budget ran out.
+POISONED_BLOCK = (
+    "  adaptive control plane:",
+    "    deferred 23999 probe(s) behind open breakers; 1452 probe(s) lost to quarantine",
+    "    recovery: 2 round(s), 24483 recovered (22556 via salt-0 fallback), "
+    "8 trial probe(s), 968 still lost",
+    "    recovered by campaign: round1=11781, round2=12702",
+    "    breaker amazon/ap-northeast-1: closed (484/492 failed outcomes, "
+    "0 rate-limit fingerprints; closed -> open@265 -> half-open@484 -> closed@492)",
+    "    breaker amazon/ap-northeast-2: open (489/749 failed outcomes, "
+    "5 rate-limit fingerprints; closed -> open@530)",
+    "    breaker amazon/ap-south-1: open (489/749 failed outcomes, "
+    "5 rate-limit fingerprints; closed -> open@530)",
+    "    breaker amazon/ap-southeast-1: open (5/253 failed outcomes, "
+    "5 rate-limit fingerprints; closed -> open@253)",
+    "    breaker amazon/ap-southeast-2: open (7/247 failed outcomes, "
+    "7 rate-limit fingerprints; closed -> open@247)",
+    "    breaker amazon/ca-central-1: open (18/333 failed outcomes, "
+    "18 rate-limit fingerprints; closed -> open@333)",
+    "    breaker amazon/eu-central-1: open (2/219 failed outcomes, "
+    "2 rate-limit fingerprints; closed -> open@219)",
+    "    breaker amazon/eu-west-1: open (2/212 failed outcomes, 2 rate-limit fingerprints; "
+    "closed -> open@212)",
+    "    breaker amazon/eu-west-2: open (7/249 failed outcomes, 7 rate-limit fingerprints; "
+    "closed -> open@249)",
+    "    breaker amazon/eu-west-3: open (6/240 failed outcomes, 6 rate-limit fingerprints; "
+    "closed -> open@240)",
+    "    breaker amazon/sa-east-1: open (2/208 failed outcomes, 2 rate-limit fingerprints; "
+    "closed -> open@208)",
+    "    breaker amazon/us-east-1: open (14/318 failed outcomes, 14 rate-limit fingerprints; "
+    "closed -> open@318)",
+    "    breaker amazon/us-east-2: open (3/213 failed outcomes, 3 rate-limit fingerprints; "
+    "closed -> open@213)",
+    "    breaker amazon/us-west-1: open (16/301 failed outcomes, 16 rate-limit fingerprints; "
+    "closed -> open@301)",
+    "    breaker amazon/us-west-2: open (6/236 failed outcomes, 6 rate-limit fingerprints; "
+    "closed -> open@236)",
+)
+
+
+def _adaptive_block(text):
+    lines = text.splitlines()
+    start = lines.index("  adaptive control plane:")
+    block = [lines[start]]
+    for line in lines[start + 1:]:
+        if not line.startswith("    "):
+            break
+        block.append(line)
+    return tuple(block)
+
+
+def _poisoned_budget_config():
+    """Rate limits plus three poisoned shards per campaign, no shard
+    retries, and a study-wide retry budget of one: recovery half-opens
+    one breaker, finds the budget spent at every other, and leaves the
+    quarantine-lost probes behind those breakers lost."""
+    return StudyConfig(
+        seed=11,
+        expansion_stride=8,
+        run_crossval=False,
+        run_vpi=False,
+        adaptive=True,
+        breaker_threshold=2,
+        recovery_rounds=2,
+        max_retries=0,
+        retry_backoff_s=0.0,
+        retry_budget=1,
+        fault_plan=FaultPlan(
+            seed=7,
+            rate_limit_rate=0.3,
+            rate_limit_window=3,
+            poison_shards=(0, 5, 9),
+        ),
+    )
+
+
+def test_report_pins_the_adaptive_block(adaptive_rl):
+    assert _adaptive_block(render_report(adaptive_rl)) == RL_BLOCK
+
+
+def test_report_pins_the_adaptive_block_with_still_lost_probes(tiny_world):
+    result = AmazonPeeringStudy(tiny_world, _poisoned_budget_config()).run()
+    assert _adaptive_block(render_report(result)) == POISONED_BLOCK
+    account = result.probe_account()
+    assert account.still_lost == 968
+    assert account.still_lost == (
+        result.round1_stats.lost_probes + result.round2_stats.lost_probes
+    )
+    # The study span reads the same fold, and the breakers' events.
+    study = next(r for r in result.metrics.tracer.records if r.name == "study")
+    counters = dict(study.counters)
+    assert {
+        key: counters[key]
+        for key in (
+            "breaker_opens",
+            "breaker_half_opens",
+            "breaker_closes",
+            "breaker_reopens",
+            "governor_admitted",
+            "governor_deferred",
+            "governor_quarantined",
+            "recovered_probes",
+            "recovery_still_lost",
+        )
+    } == {
+        "breaker_opens": 15,
+        "breaker_half_opens": 1,
+        "breaker_closes": 1,
+        "breaker_reopens": 0,
+        "governor_admitted": 3559,
+        "governor_deferred": 23999,
+        "governor_quarantined": 1452,
+        "recovered_probes": 24483,
+        "recovery_still_lost": 968,
+    }

@@ -244,7 +244,7 @@ def test_live_schema_extraction_covers_all_surfaces():
         "version",
     ]
     records = schemas["record_log"]
-    assert records["format_version"] == 5
+    assert records["format_version"] == 6
     assert ["version", "fingerprint"] in records["record_keys"]
     assert ["shard", "packed"] in records["record_keys"]
     assert ["payload_digest", "payload"] in records["record_keys"]

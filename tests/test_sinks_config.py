@@ -115,7 +115,7 @@ class TestRunObserver:
             world, config, monkeypatch
         )
         assert result.digest().startswith("fbe0ead9")
-        assert result.resilience.recovered > 0
+        assert result.probe_account().recovered > 0
         assert observer.probes == delivered == 29_322
         # Each trace round 1 deferred reaches ``ingest`` once more, on
         # the planning observatory whose CBIs seed round 2.

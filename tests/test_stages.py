@@ -163,6 +163,28 @@ class TestStageChain:
         assert base != study_fingerprint(scale, seed, _config(expansion_stride=4))
         assert base != study_fingerprint(scale, seed, _config(run_vpi=False))
 
+    def test_settings_of_a_stage_that_does_not_run_are_not_content(
+        self, tiny_world
+    ):
+        scale = tiny_world.config.scale
+        seed = tiny_world.config.seed
+        knobs = (
+            {"crossval_folds": 5},
+            {"breaker_threshold": 7},
+            {"recovery_rounds": 4},
+        )
+        plain = _config(adaptive=False, run_crossval=False)
+        for knob in knobs:
+            assert study_fingerprint(
+                scale, seed, plain.replace(**knob)
+            ) == study_fingerprint(scale, seed, plain)
+        # With cross-validation and adaptation on, each one is content.
+        full = _config()
+        for knob in knobs:
+            assert study_fingerprint(
+                scale, seed, full.replace(**knob)
+            ) != study_fingerprint(scale, seed, full)
+
 
 # --- store -------------------------------------------------------------
 
@@ -308,6 +330,29 @@ def test_recovery_stage_skipped_when_not_adaptive(
     assert result.resilience is None
     # ...and the adaptive-but-clean fixture digest is the same content.
     assert result.digest() == clean_digest
+
+
+def test_resume_ignores_settings_of_stages_that_do_not_run(
+    tiny_world, tmp_path, monkeypatch
+):
+    """A non-adaptive run without cross-validation resumes every stage
+    under another fold count, breaker threshold or recovery-round count."""
+    config = _config(
+        adaptive=False,
+        run_crossval=False,
+        run_vpi=False,
+        checkpoint_dir=str(tmp_path),
+    )
+    first = AmazonPeeringStudy(tiny_world, config=config).run()
+    calls = _install_compute_spies(monkeypatch)
+    resumed = AmazonPeeringStudy(
+        tiny_world,
+        config=config.replace(
+            resume=True, crossval_folds=5, breaker_threshold=7, recovery_rounds=4
+        ),
+    ).run()
+    assert calls == {}
+    assert resumed.digest() == first.digest()
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
