@@ -20,13 +20,18 @@ classic chain, so clean-run inference outputs (and the study digest) are
 identical -- but downstream stages can flag low-confidence inferences
 instead of silently counting them.
 
+Each annotator also keeps one *verdict* per address it has seen
+(:meth:`HopAnnotator.verdict`): the annotation together with its two
+border predicates, so a hop a stream has met before costs one dict
+lookup.
+
 Annotation is pure inference-side code: it sees datasets and addresses,
 never the world.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.asn import AMAZON_ORG_ID, ASN
@@ -86,6 +91,11 @@ class HopAnnotation:
     disagreements: Tuple[str, ...] = ()
 
 
+#: An address's annotation under one annotator, with that annotator's
+#: ``is_border_candidate`` and ``is_home`` of it.
+Verdict = Tuple[HopAnnotation, bool, bool]
+
+
 class AnnotationInternPool:
     """Content-keyed intern pool: one object per distinct annotation value.
 
@@ -93,22 +103,22 @@ class AnnotationInternPool:
     address (origins rarely move between rounds), so identical
     :class:`HopAnnotation` values collapse to a single shared instance
     instead of one allocation per annotator per round.  Purely a memory
-    / allocation optimization: interning is keyed by the full frozen
-    content, so it can never change what any caller observes.
+    / allocation optimization: the frozen annotation is its own key, and
+    its equality compares every field, so interning can never change
+    what any caller observes.
     """
 
     def __init__(self) -> None:
-        self._pool: Dict[Tuple, HopAnnotation] = {}
+        self._pool: Dict[HopAnnotation, HopAnnotation] = {}
         #: lookups answered with an already-pooled instance.
         self.hits: int = 0
 
     def intern(self, ann: HopAnnotation) -> HopAnnotation:
-        key = astuple(ann)
-        found = self._pool.get(key)
+        found = self._pool.get(ann)
         if found is not None:
             self.hits += 1
             return found
-        self._pool[key] = ann
+        self._pool[ann] = ann
         return ann
 
     def __len__(self) -> int:
@@ -201,6 +211,29 @@ class HopAnnotator:
         self.fallback_depth_total: int = 0
         #: disagreement labels recorded across all computed annotations.
         self.disagreement_flags: int = 0
+        #: address -> its :data:`Verdict`, filled on first sight by
+        #: :meth:`verdict`.  A caller that reads it directly serves an
+        #: annotation without :meth:`annotate`, so it adds its hits to
+        #: ``cache_hits`` itself; the counters then read as if every
+        #: lookup had gone through the cache.
+        self.verdicts: Dict[IPv4, Verdict] = {}
+
+    def verdict(self, ip: IPv4) -> Verdict:
+        """``ip``'s annotation and border predicates, computed once.
+
+        Counts one cache lookup per call, as :meth:`annotate` does: a
+        first sight goes through :meth:`annotate`, and a memo hit is a
+        cache hit.
+        """
+        found = self.verdicts.get(ip)
+        if found is not None:
+            self.cache_hits += 1
+            return found
+        ann = self.annotate(ip)
+        found = self.verdicts[ip] = (
+            ann, self.is_border_candidate(ann), self.is_home(ann)
+        )
+        return found
 
     def annotate(self, ip: IPv4) -> HopAnnotation:
         cached = self._cache.get(ip)

@@ -10,6 +10,12 @@ Hygiene (§4.1): traceroutes are discarded when they contain an IP-level
 loop, unresponsive hop(s) before Amazon's border, the CBI as the probe's
 destination, duplicate hops before the border, or when they re-enter the
 home network downstream of the CBI.
+
+A hop costs one dict lookup: the annotator memoizes each address's
+annotation with its border and home predicates
+(:attr:`~repro.core.annotate.HopAnnotator.verdicts`), filled the first
+time any stream meets the address.  The annotator's cache counters still
+count one lookup per annotated hop, as if each had been annotated.
 """
 
 from __future__ import annotations
@@ -121,12 +127,20 @@ class BorderObservatory:
     # ------------------------------------------------------------------
 
     def ingest(self, trace: Traceroute) -> Optional[Tuple[IPv4, IPv4]]:
-        """Process one traceroute; returns the candidate segment, if any."""
+        """Process one traceroute; returns the candidate segment, if any.
+
+        Each responsive hop is one lookup in the annotator's verdict memo
+        (:attr:`HopAnnotator.verdicts`); only an address seen for the
+        first time goes through :meth:`HopAnnotator.verdict`.  The memo's
+        hits are added to the annotator's ``cache_hits`` once per walk,
+        so its counters equal those of an annotation per hop.
+        """
         self.stats.ingested += 1
         hops = trace.hops
         region = trace.region
-        annotate = self.annotator.annotate
-        is_border = self.annotator.is_border_candidate
+        annotator = self.annotator
+        verdicts = annotator.verdicts
+        first_sight = annotator.verdict
         iface_regions = self.iface_regions
         iface_min_rtt = self.iface_min_rtt
         successors = self.successors
@@ -135,13 +149,17 @@ class BorderObservatory:
         border_ann: Optional[HopAnnotation] = None
         first_gap: Optional[int] = None
         responsive_ips: List[IPv4] = []
+        first_sights = 0
         prev: Optional[IPv4] = None
         for idx, (_ttl, ip, rtt) in enumerate(hops):
             if ip is None:
                 if first_gap is None:
                     first_gap = idx
                 continue
-            ann = annotate(ip)
+            verdict = verdicts.get(ip)
+            if verdict is None:
+                verdict = first_sight(ip)
+                first_sights += 1
             responsive_ips.append(ip)
             # Per-interface state: regions, first round, min RTT.
             regions = iface_regions.get(ip)
@@ -162,9 +180,10 @@ class BorderObservatory:
                     counts = successors[prev] = Counter()
                 counts[ip] += 1
             prev = ip
-            if border_idx is None and is_border(ann):
+            if border_idx is None and verdict[1]:
                 border_idx = idx
-                border_ann = ann
+                border_ann = verdict[0]
+        annotator.cache_hits += len(responsive_ips) - first_sights
 
         if border_idx is None or border_ann is None:
             self.stats.dropped[DropReason.NO_BORDER] += 1
@@ -190,14 +209,15 @@ class BorderObservatory:
         if border_idx == 0:
             self.stats.dropped[DropReason.NO_BORDER] += 1
             return None
-        # Sanity: no home-org hop downstream of the CBI.
-        for hop in hops[border_idx + 1 :]:
-            if hop.ip is None:
-                continue
-            ann = annotate(hop.ip)
-            if self.annotator.is_home(ann):
+        # Sanity: no home-org hop downstream of the CBI.  The walk above
+        # saw every one of these hops, so each is a memo hit.
+        downstream = responsive_ips[border_idx + 1 :]
+        for looked, ip in enumerate(downstream, 1):
+            if verdicts[ip][2]:
+                annotator.cache_hits += looked
                 self.stats.dropped[DropReason.REENTERS_HOME] += 1
                 return None
+        annotator.cache_hits += len(downstream)
 
         abi = hops[border_idx - 1].ip
         assert abi is not None

@@ -8,7 +8,9 @@ the four other clouds (:func:`vpi_target_pool`).  Every campaign runs on
 the study's one :class:`~repro.measure.executor.ShardedExecutor`, which
 feeds each delivered trace to the campaign's consumer function, reports
 it to the run's one :class:`~repro.measure.sink.EventSink` observer, and
-keeps one :class:`CampaignStats` record per campaign.
+keeps one :class:`CampaignStats` record per campaign.  Whether a trace
+left the cloud (:class:`CloudMembership`) is one memoized verdict per
+hop address.
 """
 
 from __future__ import annotations
@@ -112,26 +114,37 @@ class CampaignStats:
 class CloudMembership:
     """Decides whether a trace escaped the probing cloud's address space.
 
-    Stateless after construction: the executor builds one per cloud
-    (``ShardedExecutor.membership``) and each pool worker rebuilds it
-    from ``(world, cloud)``.
+    An address *escapes* when it is neither the cloud's own nor
+    private/shared.  The verdict is memoized per address on first sight,
+    so a hop costs one dict lookup; the executor builds one membership
+    per cloud (``ShardedExecutor.membership``), and each pool worker
+    rebuilds its own from ``(world, cloud)`` and fills its own memo.
     """
 
     def __init__(self, world: World, cloud: str) -> None:
-        # Flattened to disjoint intervals once: membership is one bisect
-        # per hop instead of a scan over every announced/infra block.
+        # Flattened to disjoint intervals once: a first sight is one
+        # bisect instead of a scan over every announced/infra block.
         self._own = IPv4IntervalSet(
             list(world.cloud_announced_blocks.get(cloud, []))
             + list(world.cloud_infra_blocks.get(cloud, []))
         )
+        #: address -> whether it escapes the cloud.
+        self._escapes: Dict[IPv4, bool] = {}
 
     def left_cloud(self, trace: Traceroute) -> bool:
-        own = self._own
+        """Does any responsive hop but the destination escape the cloud?"""
+        escapes = self._escapes
         dst = trace.dst
-        for ip in trace.responsive_ips:
-            if ip == dst:
+        for _ttl, ip, _rtt in trace.hops:
+            # The destination is skipped per trace, outside the memo.
+            if ip is None or ip == dst:
                 continue
-            if ip not in own and not is_private_or_shared(ip):
+            escaped = escapes.get(ip)
+            if escaped is None:
+                escaped = escapes[ip] = (
+                    ip not in self._own and not is_private_or_shared(ip)
+                )
+            if escaped:
                 return True
         return False
 

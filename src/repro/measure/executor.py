@@ -624,14 +624,19 @@ class ShardedExecutor:
                 # retried, quarantined, or otherwise absorbed.
                 raise
             except Exception as exc:  # worker crash, timeout, injected fault
-                failure = wrap_error(exc)
+                # Take the failure's category and message and keep
+                # nothing else: the traceback holds this frame, so a local
+                # bound to the exception -- or, on the pool path,
+                # ``handle``, which keeps the exception it raised -- would
+                # close a cycle keeping every later local of this frame (a
+                # retried attempt's traces) alive until a full collection.
+                exc.__traceback__ = None
+                category, error = _account(wrap_error(exc))
                 attempt += 1
-                stats.note_failure(failure.category)
+                stats.note_failure(category)
                 if attempt > self.retry.max_retries:
                     return _ShardOutcome(
-                        result=None,
-                        attempts=attempt,
-                        error=_describe_error(failure),
+                        result=None, attempts=attempt, error=error
                     )
                 if not self.supervisor.consume_retry():
                     # The study-wide retry budget is spent: degrade now
@@ -639,8 +644,7 @@ class ShardedExecutor:
                     return _ShardOutcome(
                         result=None,
                         attempts=attempt,
-                        error=_describe_error(failure)
-                        + " (retry budget exhausted)",
+                        error=error + " (retry budget exhausted)",
                     )
                 # Both quarantine exits above happen *before* any sleep:
                 # a retry definitely remains past this point, and only
@@ -764,12 +768,11 @@ class ShardedExecutor:
             )
 
 
-def _describe_error(exc: BaseException) -> str:
-    if isinstance(exc, (ShardTimeoutError, multiprocessing.TimeoutError)):
-        return "shard timeout"
-    if isinstance(exc, ReproError):
-        return str(exc)
-    return f"{type(exc).__name__}: {exc}"
+def _account(failure: ReproError) -> Tuple[str, str]:
+    """A failed attempt's error category and quarantine message."""
+    if isinstance(failure, ShardTimeoutError):
+        return failure.category, "shard timeout"
+    return failure.category, str(failure)
 
 
 def _pool_context() -> "BaseContext":

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import log
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.net.geo import MetroCatalog
@@ -151,6 +152,9 @@ class TracerouteEngine:
         draw = rng.random
         loss_rate = cfg.probe_loss_rate
         hop_ms = cfg.hop_processing_ms
+        # A hop's jitter is ``rng.expovariate(jitter_rate)`` inlined:
+        # CPython 3.11's body is ``-log(1.0 - random()) / lambd``, so the
+        # floats are bit-identical (tests/test_traceroute.py checks it).
         jitter_rate = 1.0 / max(cfg.ping_jitter_ms, 1e-6)
         dst = plan.dest_ip
 
@@ -199,7 +203,7 @@ class TracerouteEngine:
                 # A forwarding loop: repeat an earlier interface once.
                 ip = seen_ips[rng.randrange(len(seen_ips))]
                 loop_injected = False
-            rtt = cum_rtt + hop_ms * ttl + rng.expovariate(jitter_rate)
+            rtt = cum_rtt + hop_ms * ttl + -log(1.0 - draw()) / jitter_rate
             hops.append(TraceHop(ttl, ip, rtt))
             seen_ips.append(ip)
 
@@ -212,7 +216,7 @@ class TracerouteEngine:
             dest_responds = False
         if dest_responds:
             ttl += 1
-            rtt = cum_rtt + hop_ms * ttl + rng.expovariate(jitter_rate)
+            rtt = cum_rtt + hop_ms * ttl + -log(1.0 - draw()) / jitter_rate
             hops.append(TraceHop(ttl, dst, rtt))
             return Traceroute(cloud, region, dst, hops, StopReason.COMPLETED)
 

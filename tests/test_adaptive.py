@@ -17,6 +17,8 @@ Pins the tentpole contracts:
 * a run aborted before recovery resumes from the round-1 or round-2
   record -- recovery queue and round-2 seeds included -- to the
   uninterrupted run's digest and recovery report;
+* recovery decodes each salt-0 baseline the merge deferred instead of
+  tracing it again; only a governor restored from a record re-traces;
 * the report's adaptive block, one fold of the healed round records,
   is pinned byte for byte -- still-lost probes and an exhausted retry
   budget included.
@@ -39,6 +41,7 @@ from repro import (
     build_world,
     render_report,
 )
+from repro.core import pipeline
 from repro.measure.adapt import CAUSE_BREAKER, ProbeGovernor
 from repro.measure.health import BreakerState, healthy
 from repro.measure.traceroute import StopReason, TraceHop, Traceroute
@@ -356,9 +359,67 @@ def test_adaptive_resume_replays_recovery_stage(golden, tiny_world, tmp_path):
     assert resumed.resilience.breakers == first.resilience.breakers
 
 
-def _abort_and_resume(golden, tiny_world, adaptive_rl, checkpoint_dir, stage):
+class _BaselineSpy:
+    """Logs the salt-0 traces recovery makes for breaker-deferred targets.
+
+    Wraps the pipeline's ``run_recovery``: while it runs, the executor's
+    engine logs each ``trace`` call, and each salt-0 call for a target
+    the governor deferred behind a breaker is kept, with that target's
+    campaign labels.
+    """
+
+    def __init__(self, monkeypatch) -> None:
+        self.retraced = []
+        self.fallbacks = 0
+        real = pipeline.run_recovery
+
+        def spying(governor, executor, *args, **kwargs):
+            labels = {}
+            for target in governor.pending:
+                if target.cause == CAUSE_BREAKER:
+                    labels.setdefault((target.region, target.dst), set()).add(
+                        target.label
+                    )
+            engine = executor.engine
+
+            def trace(cloud, region, dst, salt=0):
+                if salt == 0 and (region, dst) in labels:
+                    self.retraced.append(labels[region, dst])
+                return type(engine).trace(engine, cloud, region, dst, salt)
+
+            engine.trace = trace
+            try:
+                report = real(governor, executor, *args, **kwargs)
+            finally:
+                del engine.trace
+            self.fallbacks += report.fallback_recovered
+            return report
+
+        monkeypatch.setattr(pipeline, "run_recovery", spying)
+
+
+def test_recovery_decodes_every_deferred_baseline(
+    golden, tiny_world, adaptive_rl, monkeypatch
+):
+    """An uninterrupted run traces no salt-0 baseline twice: recovery
+    decodes the trace the merge deferred, and the digest is unchanged."""
+    spy = _BaselineSpy(monkeypatch)
+    result = AmazonPeeringStudy(
+        tiny_world, _adaptive_config(golden, fault_plan=RL_PLAN)
+    ).run()
+    assert spy.fallbacks > 0  # the fallback path ran
+    assert spy.retraced == []
+    assert result.digest() == adaptive_rl.digest()
+
+
+def _abort_and_resume(
+    golden, tiny_world, adaptive_rl, checkpoint_dir, stage, monkeypatch
+):
     """Abort an adaptive run after ``stage``; resume it on a fresh world
-    and check it reproduces the uninterrupted run."""
+    and check it reproduces the uninterrupted run.  The resumed governor
+    restores the queue of every round read from a record without its
+    baselines, so recovery re-traces those targets -- and only those --
+    at salt 0."""
     config = _adaptive_config(
         golden, fault_plan=RL_PLAN, checkpoint_dir=str(checkpoint_dir)
     )
@@ -370,7 +431,11 @@ def _abort_and_resume(golden, tiny_world, adaptive_rl, checkpoint_dir, stage):
     fresh_world = build_world(
         WorldConfig(scale=golden["world"]["scale"], seed=golden["world"]["seed"])
     )
+    spy = _BaselineSpy(monkeypatch)
     resumed = AmazonPeeringStudy(fresh_world, config.replace(resume=True)).run()
+    restored = {"round1"} if stage == "round1" else {"round1", "round2"}
+    assert spy.retraced
+    assert all(labels & restored for labels in spy.retraced)
     resumed_stages = {
         r.name
         for r in resumed.metrics.tracer.records
@@ -384,7 +449,7 @@ def _abort_and_resume(golden, tiny_world, adaptive_rl, checkpoint_dir, stage):
 
 
 def test_adaptive_run_aborted_before_recovery_resumes_identically(
-    golden, tiny_world, adaptive_rl, tmp_path
+    golden, tiny_world, adaptive_rl, tmp_path, monkeypatch
 ):
     """Recovery on resume runs from the queue the round-2 record holds.
 
@@ -393,18 +458,20 @@ def test_adaptive_run_aborted_before_recovery_resumes_identically(
     is read back from disk before it is re-probed.
     """
     _abort_and_resume(
-        golden, tiny_world, adaptive_rl, tmp_path / "ckpt", "round2"
+        golden, tiny_world, adaptive_rl, tmp_path / "ckpt", "round2",
+        monkeypatch,
     )
 
 
 def test_adaptive_run_aborted_after_round1_resumes_identically(
-    golden, tiny_world, adaptive_rl, tmp_path
+    golden, tiny_world, adaptive_rl, tmp_path, monkeypatch
 ):
     """Aborted after round 1, the resume plans round 2 from the round-1
     record: the CBIs of the traces round 1 deferred come from it, not
     from a re-run."""
     _abort_and_resume(
-        golden, tiny_world, adaptive_rl, tmp_path / "ckpt", "round1"
+        golden, tiny_world, adaptive_rl, tmp_path / "ckpt", "round1",
+        monkeypatch,
     )
 
 

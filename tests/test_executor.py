@@ -1,6 +1,8 @@
 """Sharded executor: partitioning, determinism, the campaign record, stride edges."""
 
+import gc
 import signal
+import weakref
 
 import pytest
 
@@ -9,11 +11,13 @@ from repro.core.pipeline import AmazonPeeringStudy
 from repro.measure import executor as executor_mod
 from repro.measure.campaign import expansion_targets
 from repro.measure.executor import (
+    RetryPolicy,
     ShardedExecutor,
     default_shard_size,
     partition_targets,
     plan_shards,
 )
+from repro.measure.faults import FaultPlan
 from repro.measure.metrics import StudyMetrics
 from repro.measure.sink import EventSink
 from repro.measure.traceroute import TracerouteEngine
@@ -136,6 +140,44 @@ class TestExecutorDeterminism:
         stats = executor.run("amazon", "campaign", [], traces.append)
         assert stats.probes == 0
         assert traces == []
+
+
+class TestRetriedShardsAreFreed:
+    """A retried shard's traces die with their last reference.
+
+    The retry loop keeps no reference cycle through a failed attempt --
+    neither through the failure it accounts for nor, on the pool path,
+    through the handle that raised it -- so nothing it merged waits for
+    a full collection.
+    """
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_trace_outlives_the_campaign(self, tiny_world, workers):
+        # Every shard's first attempt crashes; its inline retry succeeds.
+        plan = FaultPlan(seed=5, crash_rate=1.0, crash_attempts=1)
+        engine = TracerouteEngine(tiny_world, seed=1, faults=plan)
+        executor = ShardedExecutor(
+            tiny_world,
+            engine,
+            workers=workers,
+            retry=RetryPolicy(backoff_base_s=0.0),
+        )
+        refs = []
+        gc.collect()
+        gc.disable()
+        try:
+            stats = executor.run(
+                "amazon",
+                "campaign",
+                [p.network + 1 for p in tiny_world.sweep_slash24s[:40]],
+                lambda trace: refs.append(weakref.ref(trace)),
+                regions=tiny_world.region_names("amazon")[:2],
+            )
+            assert stats.retries > 0
+            assert stats.probes == len(refs) == 80
+            assert [ref for ref in refs if ref() is not None] == []
+        finally:
+            gc.enable()
 
 
 class _ShardLog(EventSink):

@@ -11,13 +11,20 @@ and report the same rounds, trial probes and fallbacks; the healed
 round records must hold the recovered and still-lost counts the old
 report kept beside them.  The engine is scripted: a trace's verdict and
 completion are a hash of ``(region, dst, salt)``.
+
+The oracle traces every salt-0 baseline again; :func:`run_recovery`
+decodes the one the governor kept when it deferred the trace.  Over
+queues built through ``ProbeGovernor.admit``, the scripted engine must
+see no salt-0 call for a breaker-deferred target, and the accepted
+sequence must still be the oracle's.  The packed form round-trips every
+hop exactly, ``-0.0`` and subnormal RTTs included.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 
@@ -30,6 +37,8 @@ from repro.measure.adapt import (  # noqa: E402
     CAUSE_QUARANTINE,
     DeferredTarget,
     ProbeGovernor,
+    _pack_trace,
+    _unpack_trace,
     run_recovery,
 )
 from repro.measure.campaign import CampaignStats  # noqa: E402
@@ -70,6 +79,18 @@ class ScriptedEngine:
         hops = [TraceHop(i + 1, ip, None) for i, ip in enumerate(ips)]
         reason = StopReason.COMPLETED if completed else StopReason.GAP_LIMIT
         return Traceroute(cloud, region, dst, hops, reason)
+
+
+class _LoggingEngine(ScriptedEngine):
+    """A scripted engine that logs each ``(region, dst, salt)`` it traces."""
+
+    def __init__(self, seed: int, sick_in_four: int) -> None:
+        super().__init__(seed, sick_in_four)
+        self.calls: List[Tuple[str, int, int]] = []
+
+    def trace(self, cloud: str, region: str, dst: int, salt: int = 0) -> Traceroute:
+        self.calls.append((region, dst, salt))
+        return super().trace(cloud, region, dst, salt)
 
 
 class _Membership:
@@ -326,22 +347,27 @@ def _span_rows(tracer: Tracer) -> List[tuple]:
     return [(r.name, tuple(r.counters)) for r in tracer.records]
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    threshold=st.integers(1, 3),
-    histories=st.fixed_dictionaries({region: history_st for region in REGIONS}),
-    pending=st.lists(target_st, max_size=30),
-    trial_budget=st.integers(1, 4),
-    retry_budget=st.one_of(st.none(), st.integers(0, 4)),
-    rounds=st.integers(0, 3),
-    engine_seed=st.integers(0, 2**16),
-    sick_in_four=st.integers(0, 4),
-)
-def test_one_loop_recovery_matches_the_two_loop_oracle(
-    threshold, histories, pending, trial_budget, retry_budget, rounds,
-    engine_seed, sick_in_four,
-):
-    engine = ScriptedEngine(engine_seed, sick_in_four)
+def _governor_breakers(threshold: int, histories) -> Tuple[CircuitBreaker, ...]:
+    breakers = []
+    for region in REGIONS:
+        breaker = CircuitBreaker(CLOUD, region, threshold)
+        _fold_history(breaker, histories[region])
+        breakers.append(breaker)
+    return tuple(breakers)
+
+
+def _assert_recovery_matches_oracle(
+    governor: ProbeGovernor,
+    engine: ScriptedEngine,
+    threshold: int,
+    histories,
+    trial_budget: int,
+    retry_budget: Optional[int],
+    rounds: int,
+) -> None:
+    """Recover ``governor``'s queue, and the oracle the same queue over
+    breakers folded from ``histories``; both must agree throughout."""
+    pending = list(governor.pending)
 
     # The oracle, on breakers with the old protocol.
     oracle_breakers = {
@@ -351,20 +377,14 @@ def test_one_loop_recovery_matches_the_two_loop_oracle(
         _fold_history(breaker, histories[region])
     oracle_log: List[tuple] = []
     oracle_records = _round_records(pending, oracle_log)
-    oracle_executor = _Executor(engine, retry_budget)
+    oracle_executor = _Executor(
+        ScriptedEngine(engine.seed, engine.sick_in_four), retry_budget
+    )
     expected = _oracle_recovery(
         oracle_breakers, list(pending), oracle_executor, oracle_records,
         rounds, trial_budget,
     )
 
-    # The governor's own breakers, restored to the same state.
-    breakers = []
-    for region in REGIONS:
-        breaker = CircuitBreaker(CLOUD, region, threshold)
-        _fold_history(breaker, histories[region])
-        breakers.append(breaker)
-    governor = ProbeGovernor(threshold=threshold, cloud=CLOUD)
-    governor.load_state({"breakers": tuple(breakers), "pending": tuple(pending)})
     log: List[tuple] = []
     records = _round_records(pending, log)
     executor = _Executor(engine, retry_budget)
@@ -396,6 +416,148 @@ def test_one_loop_recovery_matches_the_two_loop_oracle(
         if r.recovered_probes
     ) == expected["recovered_by_label"]
     assert governor.pending == ()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    threshold=st.integers(1, 3),
+    histories=st.fixed_dictionaries({region: history_st for region in REGIONS}),
+    pending=st.lists(target_st, max_size=30),
+    trial_budget=st.integers(1, 4),
+    retry_budget=st.one_of(st.none(), st.integers(0, 4)),
+    rounds=st.integers(0, 3),
+    engine_seed=st.integers(0, 2**16),
+    sick_in_four=st.integers(0, 4),
+)
+def test_one_loop_recovery_matches_the_two_loop_oracle(
+    threshold, histories, pending, trial_budget, retry_budget, rounds,
+    engine_seed, sick_in_four,
+):
+    """A queue restored from a record: no baselines, every one re-traced."""
+    governor = ProbeGovernor(threshold=threshold, cloud=CLOUD)
+    governor.load_state(
+        {"breakers": _governor_breakers(threshold, histories), "pending": tuple(pending)}
+    )
+    _assert_recovery_matches_oracle(
+        governor, ScriptedEngine(engine_seed, sick_in_four), threshold,
+        histories, trial_budget, retry_budget, rounds,
+    )
+
+
+#: Quarantined targets draw destinations above every breaker target's,
+#: so a logged salt-0 call names the cause it was made for.
+QUARANTINE_BASE = 40
+
+#: ``(label, region, cause, n)``: a breaker target probes ``n``, a
+#: quarantined one ``QUARANTINE_BASE + n``.
+admitted_st = st.tuples(
+    st.sampled_from(LABELS),
+    st.sampled_from(REGIONS),
+    st.sampled_from([CAUSE_BREAKER, CAUSE_QUARANTINE]),
+    st.integers(1, 20),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    threshold=st.integers(1, 3),
+    histories=st.fixed_dictionaries({region: history_st for region in REGIONS}),
+    specs=st.lists(admitted_st, max_size=30),
+    trial_budget=st.integers(1, 4),
+    retry_budget=st.one_of(st.none(), st.integers(0, 4)),
+    rounds=st.integers(0, 3),
+    engine_seed=st.integers(0, 2**16),
+    sick_in_four=st.integers(0, 4),
+)
+def test_recovery_decodes_each_deferred_baseline(
+    threshold, histories, specs, trial_budget, retry_budget, rounds,
+    engine_seed, sick_in_four,
+):
+    """A queue the merge built: recovery re-traces no breaker baseline."""
+    engine = _LoggingEngine(engine_seed, sick_in_four)
+    # Every breaker starts open, so each breaker target's salt-0 trace
+    # is deferred through ``admit`` and kept as its baseline.
+    opened = []
+    for region in REGIONS:
+        breaker = CircuitBreaker(CLOUD, region, 1)
+        breaker.record(False)
+        opened.append(breaker)
+    governor = ProbeGovernor(threshold=threshold, cloud=CLOUD)
+    governor.load_state({"breakers": tuple(opened), "pending": ()})
+    for label, region, cause, n in specs:
+        governor.begin_campaign(label)
+        if cause == CAUSE_BREAKER:
+            assert not governor.admit(engine.trace(CLOUD, region, n))
+        else:
+            governor.note_quarantine(region, (QUARANTINE_BASE + n,))
+    # Then the breakers the histories fold; re-applying a live state
+    # keeps the governor's baselines, as a study's own payloads do.
+    governor.load_state(
+        {"breakers": _governor_breakers(threshold, histories), "pending": governor.pending}
+    )
+    engine.calls.clear()
+
+    _assert_recovery_matches_oracle(
+        governor, engine, threshold, histories, trial_budget, retry_budget,
+        rounds,
+    )
+    assert [
+        (region, dst)
+        for region, dst, salt in engine.calls
+        if salt == 0 and dst <= QUARANTINE_BASE
+    ] == []
+
+
+hop_st = st.builds(
+    TraceHop,
+    st.integers(0, 2**16 - 1),
+    st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    st.one_of(
+        st.none(),
+        st.floats(allow_nan=False),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308]),
+    ),
+)
+
+
+def _exact(trace: Traceroute) -> tuple:
+    """A trace's content, with each RTT's bits (``-0.0 != 0.0`` here)."""
+    return (
+        trace.cloud,
+        trace.region,
+        trace.dst,
+        trace.stop_reason,
+        [
+            (h.ttl, h.ip, None if h.rtt_ms is None else h.rtt_ms.hex())
+            for h in trace.hops
+        ],
+    )
+
+
+@settings(max_examples=300)
+@given(
+    hops=st.lists(hop_st, max_size=40),
+    scripted=st.tuples(st.integers(0, 2**16), st.integers(1, 60), st.integers(0, 3)),
+    reason=st.sampled_from(
+        [StopReason.COMPLETED, StopReason.GAP_LIMIT, StopReason.LOOP]
+    ),
+)
+def test_packed_baseline_round_trips(hops, scripted, reason):
+    """Every hop comes back exactly: absent addresses and RTTs, an
+    address without an RTT (as the scripted engine builds them), signed
+    zeros and subnormal RTTs."""
+    trace = Traceroute(CLOUD, "eu-west-1", 77, hops, reason)
+    packed = _pack_trace(trace)
+    assert isinstance(packed, bytes)
+    back = _unpack_trace(packed, CLOUD, "eu-west-1", 77)
+    assert _exact(back) == _exact(trace)
+    assert all(type(h) is TraceHop for h in back.hops)
+
+    seed, dst, salt = scripted
+    built = ScriptedEngine(seed, 2).trace(CLOUD, "us-east-1", dst, salt)
+    assert _exact(
+        _unpack_trace(_pack_trace(built), CLOUD, "us-east-1", dst)
+    ) == _exact(built)
 
 
 @settings(max_examples=100)

@@ -1,5 +1,7 @@
 """Traceroute-engine semantics tests."""
 
+import math
+import random
 from typing import List
 
 import pytest
@@ -299,3 +301,21 @@ class TestTablesMatchReference:
                     (h.ttl, h.ip, h.rtt_ms) for h in expected.hops
                 ]
                 assert trace.stop_reason == expected.stop_reason
+
+
+@settings(max_examples=300)
+@given(
+    key=st.one_of(st.integers(), st.text(max_size=20)),
+    rate=st.floats(min_value=1e-3, max_value=1e6),
+    draws=st.integers(min_value=1, max_value=20),
+)
+def test_inlined_jitter_is_expovariate(key, rate, draws):
+    """``_realize`` inlines ``rng.expovariate(rate)`` as
+    ``-log(1.0 - random()) / rate``, its body in CPython 3.11, so each
+    RTT is the float every pinned digest was computed with.  A Python
+    whose ``expovariate`` draws differently fails here, by name."""
+    inlined = random.Random(key)
+    stdlib = random.Random(key)
+    for _ in range(draws):
+        ours = -math.log(1.0 - inlined.random()) / rate
+        assert ours.hex() == stdlib.expovariate(rate).hex()
