@@ -111,7 +111,7 @@ class _RunContext:
         self.deferred_cbis: Set[IPv4] = set()
 
     def probe_state(self) -> Dict[str, Any]:
-        """The probing stages' share of the payload: observatory and governor."""
+        """The round stages' share of the payload: observatory and governor."""
         state: Dict[str, Any] = {"observatory": self.observatory.state_dict()}
         if self.governor is not None:
             state["governor"] = self.governor.state_dict()
@@ -439,10 +439,19 @@ class AmazonPeeringStudy:
         if ctx.governor is not None:
             # Adaptive control-plane counters (DESIGN.md §6.6): breaker
             # transitions fold from the breakers' event logs, probe
-            # counts from the round records.  Digest-neutral.
+            # counts from the round records.  Digest-neutral.  Once
+            # recovery has run, its report holds the final breakers:
+            # nothing admits a probe after it, and its record does not
+            # carry the governor.
+            resilience = ctx.result.resilience
+            breakers = (
+                resilience.breakers
+                if resilience is not None
+                else ctx.governor.breakers()
+            )
             edges = Counter(
                 (event.from_state, event.to_state)
-                for breaker in ctx.governor.breakers()
+                for breaker in breakers
                 for event in breaker.events
             )
             closed, opened, half = (
@@ -456,7 +465,7 @@ class AmazonPeeringStudy:
             study_span.set("governor_admitted", account.admitted)
             study_span.set("governor_deferred", account.deferred)
             study_span.set("governor_quarantined", account.quarantined)
-            if ctx.result.resilience is not None:
+            if resilience is not None:
                 study_span.set("recovered_probes", account.recovered)
                 study_span.set("recovery_still_lost", account.still_lost)
         study_span.close()
@@ -554,12 +563,14 @@ class AmazonPeeringStudy:
             rounds=self.config.recovery_rounds,
         )
         # Recovery heals the round stats in place; the payload carries
-        # the healed records.
+        # the healed records and the observatory.  The governor stays
+        # out: no later stage admits a probe (VPI campaigns run without
+        # one), and the report already holds its breakers.
         return {
             "round1_stats": ctx.result.round1_stats,
             "round2_stats": ctx.result.round2_stats,
             "resilience": report,
-            **ctx.probe_state(),
+            "observatory": ctx.observatory.state_dict(),
         }
 
     def _compute_heuristics(self, ctx: _RunContext) -> Dict[str, Any]:

@@ -10,7 +10,9 @@ gating silently break:
   the ordered fields of every registered stage-payload dataclass;
 * ``shard_wire`` -- the packed tuple workers send back (the exact
   ``_pack_result`` return expression, plus the index span rows ride
-  at);
+  at) and the layout of the trace blob it carries, which the journals
+  store too (the trace codec's header, hop fields and stop-reason
+  order);
 * ``bench_report`` -- the ``repro-bench-v1`` document: schema string,
   required keys, and the report dataclass's fields;
 * ``span_record`` -- SpanRecord's fields and the PackedSpan row type.
@@ -272,9 +274,20 @@ def _extract_shard_wire(
                 fix_hint="keep _pack_result a single-return function",
             )
         )
+    # The blob inside the wire tuple: its trace header, the hop fields
+    # per presence flag, and the order stop reasons are coded in.
+    codec = _module(
+        source, f"{source.package_root}/measure/traceroute.py", findings
+    )
+    trace_codec: Dict[str, Any] = {}
+    for name in ("_TRACE", "_HOP_FIELDS", "_STOP_REASONS"):
+        value = _assigned_constant(codec, name) if codec else None
+        # A tuple reads back from the lockfile as a list.
+        trace_codec[name] = list(value) if isinstance(value, tuple) else value
     return {
         "pack_result": pack_shape,
         "span_row_index": span_index,
+        "trace_codec": trace_codec,
     }
 
 

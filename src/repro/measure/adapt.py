@@ -31,23 +31,23 @@ lost to quarantine heal only through a breaker that closes; they stay
 lost otherwise, exactly as today.
 
 Recovery never traces a salt-0 baseline twice.  The governor keeps each
-trace it defers beside its target, packed into bytes (``_pack_trace``),
-and both of recovery's salt-0 paths -- the yield to a completed baseline
-and the fallback once the rounds are exhausted -- decode it.  The
-baselines live in memory only: the queue a stage record carries has
-none, so a governor restored from a record re-traces at salt 0, which
-gives the same trace.
+trace it defers beside its target as a one-trace blob
+(:func:`~repro.measure.traceroute.pack_traces`, the codec the pool wire
+and the checkpoint journals use), and both of recovery's salt-0 paths --
+the yield to a completed baseline and the fallback once the rounds are
+exhausted -- decode it.  The baselines live in memory only: the queue a
+stage record carries has none, so a governor restored from a record
+re-traces at salt 0, which gives the same trace.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.measure.campaign import CampaignStats
 from repro.measure.health import BreakerEvent, BreakerState, CircuitBreaker, healthy
-from repro.measure.traceroute import StopReason, TraceHop, Traceroute
+from repro.measure.traceroute import Traceroute, pack_traces, unpack_traces
 from repro.net.ip import IPv4
 
 if TYPE_CHECKING:
@@ -62,43 +62,6 @@ TRIAL_BUDGET = 8
 #: content was never observed, so recovery restores it verbatim.
 CAUSE_BREAKER = "breaker"
 CAUSE_QUARANTINE = "quarantine"
-
-#: One packed hop of a deferred trace: TTL, presence flags (1: address,
-#: 2: RTT), address, RTT.  Little-endian without padding: 15 bytes.
-_HOP = struct.Struct("<HBId")
-_STOP_REASONS = (StopReason.COMPLETED, StopReason.GAP_LIMIT, StopReason.LOOP)
-_STOP_CODES = {reason: code for code, reason in enumerate(_STOP_REASONS)}
-
-
-def _pack_trace(trace: Traceroute) -> bytes:
-    """``trace`` as bytes: its stop reason's code, then one ``_HOP`` per hop.
-
-    The probe key is left out; the deferred target holds it.  Bytes are
-    not tracked by the cyclic GC, and take about a ninth of the memory of
-    the ``Traceroute`` and ``TraceHop`` objects they replace (169 against
-    1,548 bytes for nine hops).
-    """
-    return bytes((_STOP_CODES[trace.stop_reason],)) + b"".join(
-        [
-            _HOP.pack(
-                ttl,
-                (ip is not None) | (rtt is not None) << 1,
-                0 if ip is None else ip,
-                0.0 if rtt is None else rtt,
-            )
-            for ttl, ip, rtt in trace.hops
-        ]
-    )
-
-
-def _unpack_trace(packed: bytes, cloud: str, region: str, dst: IPv4) -> Traceroute:
-    """The trace :func:`_pack_trace` packed, under its probe key."""
-    hops = [
-        TraceHop(ttl, ip if flags & 1 else None, rtt if flags & 2 else None)
-        for ttl, flags, ip, rtt in _HOP.iter_unpack(memoryview(packed)[1:])
-    ]
-    return Traceroute(cloud, region, dst, hops, _STOP_REASONS[packed[0]])
-
 
 @dataclass(frozen=True)
 class DeferredTarget:
@@ -202,9 +165,10 @@ class ProbeGovernor:
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._pending: List[DeferredTarget] = []
         #: ``(region, dst)`` -> the salt-0 trace the merge deferred for
-        #: that target, packed (``_pack_trace``).  Never saved: the
-        #: salt-0 trace is a pure function of the probe key, so recovery
-        #: re-traces whatever a restored governor lacks.
+        #: that target, as a one-trace blob (``pack_traces``; its
+        #: ``left_cloud`` flag is unused, recovery computes it).  Never
+        #: saved: the salt-0 trace is a pure function of the probe key,
+        #: so recovery re-traces whatever a restored governor lacks.
         self._baselines: Dict[Tuple[str, IPv4], bytes] = {}
 
     # ------------------------------------------------------------------
@@ -241,7 +205,7 @@ class ProbeGovernor:
                     baseline_completed=trace.completed,
                 )
             )
-            self._baselines[trace.region, trace.dst] = _pack_trace(trace)
+            self._baselines[trace.region, trace.dst] = pack_traces(((trace, False),))
             return False
         breaker.record(healthy(trace))
         return True
@@ -347,7 +311,7 @@ def run_recovery(
         packed = baselines.get((target.region, target.dst))
         if packed is None:
             return engine.trace(cloud, target.region, target.dst, salt=0)
-        return _unpack_trace(packed, cloud, target.region, target.dst)
+        return unpack_traces(packed, cloud, target.region)[0][0]
 
     def reprobe(
         batch: List[DeferredTarget], round_index: int

@@ -1,12 +1,13 @@
 """Crash-resilient campaign checkpoints.
 
 A weeks-long sweep (§3) must survive the driver being killed.  The
-executor appends every completed shard -- in its compact wire format --
-to a journal as soon as it merges; a restarted run replays finished
-shards from disk and re-probes only the rest.  Because a shard's
-traces are a pure function of ``(engine seed, cloud, region, dst)`` plus
-the observation-fault plan, the replayed stream is bit-identical to what
-a clean uninterrupted run would have produced.
+executor appends every completed shard -- its wire tuple, whose packed
+traces (``traceroute.pack_traces``) ride base64-encoded -- to a journal
+as soon as it merges; a restarted run replays finished shards from disk
+and re-probes only the rest.  Because a shard's traces are a pure
+function of ``(engine seed, cloud, region, dst)`` plus the
+observation-fault plan, the replayed stream is bit-identical to what a
+clean uninterrupted run would have produced.
 
 Layout: one ``<label>.jsonl`` record file (:mod:`repro.fsutil`) per
 campaign under the checkpoint directory.  Its header carries a
@@ -31,11 +32,12 @@ from repro.fsutil import RecordLog, safe_name
 class CampaignCheckpoint:
     """The shard journal of one campaign.
 
-    ``get``/``put`` speak the executor's packed wire format (see
-    ``executor._pack_result``); the journal never holds live objects.
-    Tracing span rows never enter the journal either: the executor
-    re-packs the bare 4-element result before calling ``put``, so a
-    resumed run can never replay another run's stale wall-clock.
+    A row's ``packed`` value is opaque here: any JSON value, stored and
+    returned as is.  The executor stores its wire tuple's first four
+    elements, the traces' blob base64-encoded (``executor._journal_row``),
+    so the journal never holds live objects.  Tracing span rows never
+    enter the journal either, so a resumed run can never replay another
+    run's stale wall-clock.
     """
 
     def __init__(self, path: Union[str, Path], fingerprint: str, resume: bool = True) -> None:

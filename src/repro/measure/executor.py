@@ -32,6 +32,12 @@ At campaign scale, failure is routine, so the executor is resilient:
   completed shard is journalled to disk, and a killed run restarts
   without re-probing finished shards.
 
+A shard's traces cross the pool and reach the journal as one blob
+(:func:`~repro.measure.traceroute.pack_traces`): a worker packs it once,
+the parent decodes it for the merge and journals the very blob it
+received, base64-encoded in a JSON row.  An inline attempt packs its
+traces only when a journal needs them.
+
 Because a shard's traces are a pure function of the probe key (plus the
 observation-fault plan), none of this changes the merged stream: a run
 with injected crashes, timeouts, or a checkpoint resume produces the same
@@ -54,6 +60,7 @@ ever crosses the process boundary.
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 import math
 import multiprocessing
@@ -86,7 +93,12 @@ from repro.measure.faults import FaultPlan
 from repro.measure.metrics import ShardTiming
 from repro.measure.supervise import StudySupervisor
 from repro.measure.sink import EventSink
-from repro.measure.traceroute import TraceHop, Traceroute, TracerouteEngine
+from repro.measure.traceroute import (
+    Traceroute,
+    TracerouteEngine,
+    pack_traces,
+    unpack_traces,
+)
 from repro.net.ip import IPv4
 from repro.obs.span import NULL_TRACER, PackedSpan, Tracer, TracerLike
 from repro.world.model import World
@@ -117,7 +129,9 @@ class Shard:
 
 @dataclass
 class ShardResult:
-    """What a worker sends back: traces in target order, plus timing."""
+    """One traced shard: traces in target order, plus timing.
+
+    It crosses the pool and the journal packed (``_pack_result``)."""
 
     index: int
     region: str
@@ -233,7 +247,7 @@ def _trace_shard_in_worker(shard: Shard, attempt: int = 0) -> Tuple[Any, ...]:
     # local one, time the wire serialization too, and ship the packed
     # spans as an extra wire element the parent adopts under its shard
     # span.  Packed spans never enter checkpoint journals -- the parent
-    # re-packs the bare result before journalling -- so a resume never
+    # journals the first four elements only -- so a resume never
     # replays stale wall-clock.
     tracer = Tracer()
     root = tracer.span(f"worker:{shard.index}", category="worker")
@@ -248,43 +262,35 @@ def _trace_shard_in_worker(shard: Shard, attempt: int = 0) -> Tuple[Any, ...]:
 
 
 def _pack_result(result: ShardResult) -> Tuple[Any, ...]:
-    """Compact wire format: tuples pickle ~2x smaller and faster than the
-    trace dataclasses, which matters at millions of probes per round.
-    The same format is JSON-safe, so checkpoints journal it verbatim."""
-    return (
-        result.index,
-        result.region,
-        result.seconds,
-        [
-            (
-                trace.dst,
-                trace.stop_reason,
-                tuple((h.ttl, h.ip, h.rtt_ms) for h in trace.hops),
-                left,
-            )
-            for trace, left in result.items
-        ],
-    )
+    """The wire tuple: index, region, seconds and the shard's traces as
+    one blob.  The blob pickles as a single bytes object, and the parent
+    journals it as received (:func:`_journal_row`)."""
+    return (result.index, result.region, result.seconds, pack_traces(result.items))
 
 
 def _unpack_result(packed: Sequence[Any], cloud: str) -> ShardResult:
     # Element 5, when present, is the worker's packed span rows (see
-    # _trace_shard_in_worker); checkpointed rows are always 4 elements.
-    index, region, seconds, rows = packed[0], packed[1], packed[2], packed[3]
-    items = [
-        (
-            Traceroute(
-                cloud=cloud,
-                region=region,
-                dst=dst,
-                hops=list(map(TraceHop._make, hops)),
-                stop_reason=stop_reason,
-            ),
-            left,
-        )
-        for dst, stop_reason, hops, left in rows
-    ]
-    return ShardResult(index=index, region=region, seconds=seconds, items=items)
+    # _trace_shard_in_worker); it is never journalled.
+    index, region, seconds, blob = packed[0], packed[1], packed[2], packed[3]
+    return ShardResult(
+        index=index,
+        region=region,
+        seconds=seconds,
+        items=unpack_traces(blob, cloud, region),
+    )
+
+
+def _journal_row(packed: Sequence[Any]) -> List[Any]:
+    """A wire tuple as a JSON journal row: its first four elements, the
+    blob base64-encoded.  (``binascii`` is loaded already; the ``base64``
+    module would add 128 KiB to every process for the same bytes.)"""
+    blob = binascii.b2a_base64(packed[3], newline=False).decode("ascii")
+    return [packed[0], packed[1], packed[2], blob]
+
+
+def _from_journal(row: Sequence[Any]) -> Tuple[Any, ...]:
+    """The wire tuple a :func:`_journal_row` row holds."""
+    return (row[0], row[1], row[2], binascii.a2b_base64(row[3]))
 
 
 def _packed_spans(packed: Sequence[Any]) -> Optional[List[PackedSpan]]:
@@ -585,22 +591,24 @@ class ShardedExecutor:
         Replays and failed attempts are noted on ``stats`` as they
         happen.  The outcome's ``result`` is ``None`` only when the shard
         is quarantined; the merge then accounts for the lost probes
-        instead of crashing the run.  Checkpoint journals always store
-        the bare 4-element wire tuple (via ``_pack_result``), never span
-        rows.
+        instead of crashing the run.  A checkpoint journals the wire
+        tuple's first four elements (:func:`_journal_row`), never span
+        rows: the blob a worker sent, or, for an inline attempt, the one
+        ``_pack_result`` builds for the journal.
         """
         if checkpoint is not None:
             stored = checkpoint.get(shard.index)
             if stored is not None:
                 stats.resumed_shards += 1
                 return _ShardOutcome(
-                    result=_unpack_result(stored, cloud),
+                    result=_unpack_result(_from_journal(stored), cloud),
                     attempts=0,
                     resumed=True,
                 )
         attempt = 0
         worker_packed: Optional[List[PackedSpan]] = None
         while True:
+            packed: Optional[Tuple[Any, ...]] = None
             try:
                 if handle is not None and attempt == 0:
                     packed = self._wait_for_shard(handle)
@@ -655,7 +663,9 @@ class ShardedExecutor:
                     time.sleep(backoff)
                 continue
             if checkpoint is not None:
-                checkpoint.put(shard.index, _pack_result(result))
+                if packed is None:
+                    packed = _pack_result(result)
+                checkpoint.put(shard.index, _journal_row(packed))
             return _ShardOutcome(
                 result=result,
                 worker_spans=worker_packed,

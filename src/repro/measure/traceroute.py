@@ -21,14 +21,32 @@ comes from a per-engine ``(previous metro, metro)`` table filled on first
 use, and a third-party responder's answer from a dict built once at
 engine init.  The legs are still added one by one from the VM's metro, in
 path order, so every RTT is the float the unmemoised sum gave.
+
+Traces become bytes in one place: :func:`pack_traces` turns a list of
+``(trace, left_cloud)`` pairs into one little-endian blob, and
+:func:`unpack_traces` gives back exactly those traces, every RTT's bits
+included.  The pool wire, the checkpoint journals and the adaptive
+governor's deferred baselines all carry this blob.
 """
 
 from __future__ import annotations
 
+import functools
 import random
+import struct
 from dataclasses import dataclass
 from math import log
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.net.geo import MetroCatalog
 from repro.net.ip import IPv4
@@ -238,3 +256,106 @@ class _LegTable(dict):
     def __missing__(self, key: Tuple[str, str]) -> float:
         leg = self[key] = self.catalog.rtt_ms(*key)
         return leg
+
+
+# ----------------------------------------------------------------------
+# the packed-trace codec
+# ----------------------------------------------------------------------
+
+#: One packed trace's header: destination, stop-reason code,
+#: ``left_cloud`` flag and hop count.  10 bytes.  The hops' presence
+#: flags follow, one byte per hop (1: address, 2: RTT), then each hop's
+#: fields.
+_TRACE = struct.Struct("<IBBI")
+#: A hop's fields by its presence flags: its TTL, then its address and
+#: its RTT's bits when present.  An absent field takes no bytes.
+_HOP_FIELDS = ("H", "HI", "Hd", "HId")
+_HOP_STRUCTS = tuple(struct.Struct("<" + fields) for fields in _HOP_FIELDS)
+_STOP_REASONS = (StopReason.COMPLETED, StopReason.GAP_LIMIT, StopReason.LOOP)
+_STOP_CODES = {reason: code for code, reason in enumerate(_STOP_REASONS)}
+
+#: Builds a :class:`TraceHop` from a ``(ttl, ip, rtt)`` triple without a
+#: Python-level call.
+_make_hop: Callable[[Iterable[Any]], TraceHop] = functools.partial(
+    tuple.__new__, TraceHop
+)
+
+
+def pack_traces(items: Iterable[Tuple[Traceroute, bool]]) -> bytes:
+    """``(trace, left_cloud)`` pairs as one little-endian blob.
+
+    Each trace keeps its destination, stop reason, flag and hops; its
+    cloud and region are left out, since every trace of a shard shares
+    them, and :func:`unpack_traces` takes them back.  A hop keeps its
+    TTL (0 to 65535), its address (``None`` or 0 to 2**32 - 1) and its
+    RTT (``None`` or any float, bit for bit), each independently of the
+    others; a field out of range raises :class:`struct.error`.  One
+    ``bytes`` object pickles in one copy and is not tracked by the
+    cyclic GC, unlike a tuple per hop.
+    """
+    pack_trace = _TRACE.pack
+    silent, addressed, timed, answered = (hop.pack for hop in _HOP_STRUCTS)
+    parts: List[bytes] = []
+    for trace, left in items:
+        hops = trace.hops
+        flags = bytearray()
+        fields: List[bytes] = []
+        for ttl, ip, rtt in hops:
+            if ip is None:
+                if rtt is None:
+                    flags.append(0)
+                    fields.append(silent(ttl))
+                else:
+                    flags.append(2)
+                    fields.append(timed(ttl, rtt))
+            elif rtt is None:
+                flags.append(1)
+                fields.append(addressed(ttl, ip))
+            else:
+                flags.append(3)
+                fields.append(answered(ttl, ip, rtt))
+        parts.append(
+            pack_trace(trace.dst, _STOP_CODES[trace.stop_reason], left, len(hops))
+        )
+        parts.append(flags)
+        parts += fields
+    return b"".join(parts)
+
+
+def unpack_traces(
+    blob: bytes, cloud: str, region: str
+) -> List[Tuple[Traceroute, bool]]:
+    """The ``(trace, left_cloud)`` pairs :func:`pack_traces` packed into
+    ``blob``, in order, each trace probed from ``region`` of ``cloud``.
+
+    Hop by hop, with the struct its presence flags name.  A struct per
+    trace, built for its flag pattern and cached, decoded within 10% of
+    this either way, and such a cache grows with every new pattern."""
+    view = memoryview(blob)
+    unpack_trace = _TRACE.unpack_from
+    readers = [(hop.unpack_from, hop.size) for hop in _HOP_STRUCTS]
+    make_hop = _make_hop
+    items: List[Tuple[Traceroute, bool]] = []
+    offset = 0
+    while offset < len(blob):
+        dst, code, left, count = unpack_trace(view, offset)
+        offset += _TRACE.size
+        flags = blob[offset : offset + count]
+        offset += count
+        hops: List[TraceHop] = []
+        for flag in flags:
+            read, size = readers[flag]
+            fields = read(view, offset)
+            offset += size
+            if flag == 3:
+                hops.append(make_hop(fields))
+            elif flag == 0:
+                hops.append(make_hop((fields[0], None, None)))
+            elif flag == 1:
+                hops.append(make_hop((*fields, None)))
+            else:
+                hops.append(make_hop((fields[0], None, fields[1])))
+        items.append(
+            (Traceroute(cloud, region, dst, hops, _STOP_REASONS[code]), bool(left))
+        )
+    return items

@@ -13,7 +13,9 @@ Pins the tentpole contracts:
   worker counts {1, 2, 4};
 * quarantine losses heal through the breaker recovery path;
 * stage-checkpoint resume restores governor state and replays the
-  recovery stage digest-identically;
+  recovery stage digest-identically; the recovery record stores the
+  breakers once, in its report, and a run resumed after it folds the
+  same ``breaker_*`` counters;
 * a run aborted before recovery resumes from the round-1 or round-2
   record -- recovery queue and round-2 seeds included -- to the
   uninterrupted run's digest and recovery report;
@@ -42,6 +44,7 @@ from repro import (
     render_report,
 )
 from repro.core import pipeline
+from repro.core.stages import StageStore
 from repro.measure.adapt import CAUSE_BREAKER, ProbeGovernor
 from repro.measure.health import BreakerState, healthy
 from repro.measure.traceroute import StopReason, TraceHop, Traceroute
@@ -473,6 +476,44 @@ def test_adaptive_run_aborted_after_round1_resumes_identically(
         golden, tiny_world, adaptive_rl, tmp_path / "ckpt", "round1",
         monkeypatch,
     )
+
+
+def _study_counters(result, prefix):
+    study = next(r for r in result.metrics.tracer.records if r.name == "study")
+    return {name: value for name, value in study.counters if name.startswith(prefix)}
+
+
+def test_adaptive_run_aborted_after_recovery_keeps_breaker_counters(
+    golden, tiny_world, adaptive_rl, tmp_path, monkeypatch
+):
+    """The recovery record stores each breaker once, in its report: the
+    governor stays out.  A run resumed after recovery restores the
+    round-2 governor, so its study span folds the ``breaker_*`` counters
+    from the report, and they equal the uninterrupted run's."""
+    saved = {}
+    original_save = StageStore.save
+
+    def save(store, stage, fingerprint, payload):
+        saved[stage] = set(payload)
+        return original_save(store, stage, fingerprint, payload)
+
+    monkeypatch.setattr(StageStore, "save", save)
+    config = _adaptive_config(
+        golden, fault_plan=RL_PLAN, checkpoint_dir=str(tmp_path / "ckpt")
+    )
+    supervisor = StudySupervisor(abort_after_stage="recovery")
+    with pytest.raises(StudyInterrupted):
+        AmazonPeeringStudy(tiny_world, config, supervisor=supervisor).run()
+    assert "governor" in saved["round2"]
+    assert "governor" not in saved["recovery"]
+    assert "resilience" in saved["recovery"]
+
+    resumed = AmazonPeeringStudy(tiny_world, config.replace(resume=True)).run()
+    assert resumed.digest() == adaptive_rl.digest()
+    counters = _study_counters(resumed, "breaker_")
+    assert counters == _study_counters(adaptive_rl, "breaker_")
+    assert counters["breaker_opens"] > 0
+    assert counters["breaker_closes"] > 0
 
 
 def test_adaptive_study_span_counters(golden, tiny_world):

@@ -244,13 +244,18 @@ def test_live_schema_extraction_covers_all_surfaces():
         "version",
     ]
     records = schemas["record_log"]
-    assert records["format_version"] == 6
+    assert records["format_version"] == 7
     assert ["version", "fingerprint"] in records["record_keys"]
     assert ["shard", "packed"] in records["record_keys"]
     assert ["payload_digest", "payload"] in records["record_keys"]
     assert records["stage_order"][0] == "validate"
     assert len(records["registered_dataclasses"]) == 24
     assert schemas["shard_wire"]["span_row_index"] == 4
+    assert schemas["shard_wire"]["trace_codec"] == {
+        "_TRACE": "struct.Struct('<IBBI')",
+        "_HOP_FIELDS": ["H", "HI", "Hd", "HId"],
+        "_STOP_REASONS": "(StopReason.COMPLETED, StopReason.GAP_LIMIT, StopReason.LOOP)",
+    }
     assert schemas["bench_report"]["schema"] == "repro-bench-v1"
     span_fields = [f["name"] for f in schemas["span_record"]["fields"]]
     assert span_fields == [

@@ -10,6 +10,7 @@ pure function of the fault seed -- never of the execution schedule.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repro
-from repro.fsutil import read_records
+from repro.fsutil import RECORD_FORMAT_VERSION, read_records
 from repro.measure.campaign import round1_targets
 from repro.measure.checkpoint import CampaignCheckpoint, CheckpointStore
 from repro.measure.executor import (
@@ -33,7 +34,7 @@ from repro.measure.executor import (
 )
 from repro.measure.faults import FaultPlan, InjectedWorkerCrash
 from repro.measure.sink import EventSink
-from repro.measure.traceroute import TracerouteEngine
+from repro.measure.traceroute import TracerouteEngine, unpack_traces
 
 
 def _trace_key(trace):
@@ -567,6 +568,28 @@ class TestCheckpointResume:
         assert resumed_stats == clean_stats
         assert resumed_stats.resumed_shards == keep
 
+    def test_pooled_journal_replays_serially(self, tiny_world, tmp_path):
+        """Rows journalled from worker output replay in a serial run: the
+        same traces and the same campaign record as the pooled run, and
+        as a serial run that never packed a trace."""
+        # Targets whose traces leave the cloud, so the journalled
+        # ``left_cloud`` flags are not all False.
+        targets = round1_targets(tiny_world)[200:212]
+        regions = tiny_world.region_names("amazon")[:2]
+        unpacked, unpacked_stats = _run(tiny_world, targets, regions, shard_size=4)
+        assert unpacked_stats.left_cloud > 0
+        pooled, pooled_stats = _run(
+            tiny_world, targets, regions, workers=2, shard_size=4,
+            checkpoint_store=CheckpointStore(tmp_path, resume=False),
+        )
+        serial, serial_stats = _run(
+            tiny_world, targets, regions, shard_size=4,
+            checkpoint_store=CheckpointStore(tmp_path, resume=True),
+        )
+        assert pooled == serial == unpacked
+        assert pooled_stats == serial_stats == unpacked_stats
+        assert serial_stats.resumed_shards == len(plan_shards(regions, targets, 4))
+
     def test_torn_final_line_is_dropped(self, tiny_world, probe_space, tmp_path):
         targets, regions = probe_space
         _run(
@@ -609,6 +632,18 @@ class TestCheckpointResume:
         # The discarded journal is replaced by a fresh one for "bbbb".
         header = json.loads(path.read_text().splitlines()[0])
         assert header["fingerprint"] == "bbbb"
+
+        # A journal written under the previous format version is
+        # discarded too, under the same fingerprint: its rows held
+        # another shape.
+        header["version"] = RECORD_FORMAT_VERSION - 1
+        row = {"shard": 0, "packed": [0, "use1", 0.1, []]}
+        path.write_text(json.dumps(header) + "\n" + json.dumps(row) + "\n")
+        older = CampaignCheckpoint(path, fingerprint="bbbb")
+        assert older.stale
+        assert older.completed_shards == 0
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header["version"] == RECORD_FORMAT_VERSION
 
     def test_resume_false_starts_over(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -675,9 +710,27 @@ class TestCheckpointResume:
             tmp_path / "campaign.jsonl",
             _journal_fingerprint(tiny_world, probe_space, faults),
         )
-        # Element 2 of a packed shard is its wall-clock seconds.
+        # Element 2 of a packed shard is its wall-clock seconds.  Element 3
+        # is the shard's packed traces, base64-encoded; each is decoded
+        # into the tuple layout rows had before they were packed, so the
+        # pins cover content, not encoding.
         content = [
-            (r["shard"], r["packed"][0], r["packed"][1], r["packed"][3])
+            (
+                r["shard"],
+                r["packed"][0],
+                r["packed"][1],
+                [
+                    (
+                        trace.dst,
+                        trace.stop_reason,
+                        tuple((h.ttl, h.ip, h.rtt_ms) for h in trace.hops),
+                        left,
+                    )
+                    for trace, left in unpack_traces(
+                        base64.b64decode(r["packed"][3]), "amazon", r["packed"][1]
+                    )
+                ],
+            )
             for r in records
         ]
         assert len(content) == len(plan_shards(regions, targets, 4))

@@ -16,8 +16,10 @@ The oracle traces every salt-0 baseline again; :func:`run_recovery`
 decodes the one the governor kept when it deferred the trace.  Over
 queues built through ``ProbeGovernor.admit``, the scripted engine must
 see no salt-0 call for a breaker-deferred target, and the accepted
-sequence must still be the oracle's.  The packed form round-trips every
-hop exactly, ``-0.0`` and subnormal RTTs included.
+sequence must still be the oracle's.  A baseline is a one-trace blob of
+the trace codec (``tests/test_trace_codec.py`` checks it against the
+old tuple wire); it round-trips every hop exactly, ``-0.0`` and
+subnormal RTTs included.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ from repro.measure.adapt import (  # noqa: E402
     CAUSE_QUARANTINE,
     DeferredTarget,
     ProbeGovernor,
-    _pack_trace,
-    _unpack_trace,
     run_recovery,
 )
 from repro.measure.campaign import CampaignStats  # noqa: E402
@@ -50,8 +50,15 @@ from repro.measure.health import (  # noqa: E402
 )
 from repro.measure.sink import EventSink  # noqa: E402
 from repro.measure.supervise import StudySupervisor  # noqa: E402
-from repro.measure.traceroute import StopReason, TraceHop, Traceroute  # noqa: E402
+from repro.measure.traceroute import (  # noqa: E402
+    StopReason,
+    TraceHop,
+    Traceroute,
+    pack_traces,
+    unpack_traces,
+)
 from repro.obs.span import Tracer  # noqa: E402
+from tests.test_trace_codec import _exact, hop_st  # noqa: E402
 
 CLOUD = "amazon"
 REGIONS = ["ap-south-1", "eu-west-1", "us-east-1"]
@@ -508,32 +515,6 @@ def test_recovery_decodes_each_deferred_baseline(
     ] == []
 
 
-hop_st = st.builds(
-    TraceHop,
-    st.integers(0, 2**16 - 1),
-    st.one_of(st.none(), st.integers(0, 2**32 - 1)),
-    st.one_of(
-        st.none(),
-        st.floats(allow_nan=False),
-        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308]),
-    ),
-)
-
-
-def _exact(trace: Traceroute) -> tuple:
-    """A trace's content, with each RTT's bits (``-0.0 != 0.0`` here)."""
-    return (
-        trace.cloud,
-        trace.region,
-        trace.dst,
-        trace.stop_reason,
-        [
-            (h.ttl, h.ip, None if h.rtt_ms is None else h.rtt_ms.hex())
-            for h in trace.hops
-        ],
-    )
-
-
 @settings(max_examples=300)
 @given(
     hops=st.lists(hop_st, max_size=40),
@@ -547,17 +528,18 @@ def test_packed_baseline_round_trips(hops, scripted, reason):
     address without an RTT (as the scripted engine builds them), signed
     zeros and subnormal RTTs."""
     trace = Traceroute(CLOUD, "eu-west-1", 77, hops, reason)
-    packed = _pack_trace(trace)
+    packed = pack_traces(((trace, False),))
     assert isinstance(packed, bytes)
-    back = _unpack_trace(packed, CLOUD, "eu-west-1", 77)
+    [(back, _)] = unpack_traces(packed, CLOUD, "eu-west-1")
     assert _exact(back) == _exact(trace)
     assert all(type(h) is TraceHop for h in back.hops)
 
     seed, dst, salt = scripted
     built = ScriptedEngine(seed, 2).trace(CLOUD, "us-east-1", dst, salt)
-    assert _exact(
-        _unpack_trace(_pack_trace(built), CLOUD, "us-east-1", dst)
-    ) == _exact(built)
+    [(rebuilt, _)] = unpack_traces(
+        pack_traces(((built, False),)), CLOUD, "us-east-1"
+    )
+    assert _exact(rebuilt) == _exact(built)
 
 
 @settings(max_examples=100)
